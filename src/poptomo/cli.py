@@ -5,6 +5,8 @@ Exit codes are stable for scripting: 0 success, 2 validation failure,
 """
 
 import argparse
+import json
+import math
 import sys
 
 import numpy as np
@@ -13,9 +15,8 @@ from .errors import NumericalError, ValidationError
 from .dynamics import uhlmann_fidelity
 from .experiment import synthesize_record
 from .optimize import SimplexConfig, SubplexConfig
-from .records import load_record, save_record, sidecar_path
+from .records import atomic_write, load_record, save_record, sidecar_path
 from .serialize import (
-    _dump_json,
     load_experiment_config,
     load_model,
     load_state_or_schedule,
@@ -111,19 +112,19 @@ def cmd_sweep_gamma(args):
     gammas = _parse_range(args.gammas)
     sweep = sweep_gamma(record, model.hamiltonian, windows, gammas, _subplex_config(args))
     lines = ["window_s,gamma_hz,epsilon"]
-    for wi, window in enumerate(sweep.windows):
-        for gi, gamma in enumerate(sweep.gammas):
-            lines.append(f"{window!r},{gamma!r},{sweep.error_surface[wi, gi]!r}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _dump_json(
-        {
-            "windows_s": sweep.windows.tolist(),
-            "gammas_hz": sweep.gammas.tolist(),
-            "gamma_opt_hz": sweep.gamma_opt.tolist(),
-        },
-        sidecar_path(args.out),
-    )
+    # plain floats: numpy 2 reprs a scalar as "np.float64(...)"
+    surface = sweep.error_surface.tolist()
+    for wi, window in enumerate(sweep.windows.tolist()):
+        for gi, gamma in enumerate(sweep.gammas.tolist()):
+            lines.append(f"{window!r},{gamma!r},{surface[wi][gi]!r}")
+    atomic_write(args.out, "\n".join(lines) + "\n")
+    sidecar = {
+        "windows_s": sweep.windows.tolist(),
+        "gammas_hz": sweep.gammas.tolist(),
+        # NaN (every cell of the window failed) is not JSON: write null
+        "gamma_opt_hz": [g if math.isfinite(g) else None for g in sweep.gamma_opt.tolist()],
+    }
+    atomic_write(sidecar_path(args.out), json.dumps(sidecar, indent=2) + "\n")
     print(
         "gamma_opt per window: "
         + ", ".join(
@@ -157,8 +158,7 @@ def cmd_converge(args):
     for p in points:
         infid = "" if p.infidelity is None else repr(p.infidelity)
         lines.append(f"{p.window!r},{p.epsilon!r},{infid}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(points)} windows to {args.out}")
     return 0
 

@@ -20,18 +20,28 @@ from .dynamics import DensityMatrix
 
 RANK_JITTER = 1e-12
 
-_tri_cache = {}
+_slot_cache = {}
 
 
-def _tri_indices(dim):
-    """Cached (diag, lower-rows, lower-cols) index arrays for dim."""
-    found = _tri_cache.get(dim)
-    if found is None:
-        diag = np.arange(dim)
+def factor_slots(dim):
+    """Float offset of each parameter inside the factor T.
+
+    T is a C-ordered complex (dim, dim) array viewed as floats (re, im
+    interleaved): the first dim parameters take the real slots of the
+    diagonal, then each strictly-lower entry, row-major, takes its real
+    and imaginary slots.  Cached and read-only.
+    """
+    slots = _slot_cache.get(dim)
+    if slots is None:
         rows, cols = np.tril_indices(dim, -1)
-        found = (diag, rows, cols)
-        _tri_cache[dim] = found
-    return found
+        lower = 2 * (rows * dim + cols)
+        slots = np.empty(dim * dim, dtype=np.intp)
+        slots[:dim] = 2 * np.arange(dim) * (dim + 1)
+        slots[dim::2] = lower
+        slots[dim + 1 :: 2] = lower + 1
+        slots.setflags(write=False)
+        _slot_cache[dim] = slots
+    return slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,11 +64,9 @@ class StateParams:
 
 def factor_from_values(values, dim):
     """Assemble the lower-triangular factor T from a raw parameter vector."""
-    diag, rows, cols = _tri_indices(dim)
-    T = np.zeros((dim, dim), dtype=complex)
-    T[diag, diag] = values[:dim]
-    T[rows, cols] = values[dim::2] + 1j * values[dim + 1 :: 2]
-    return T
+    flat = np.zeros(2 * dim * dim)
+    flat[factor_slots(dim)] = values
+    return flat.view(complex).reshape(dim, dim)
 
 
 def rho_matrix_from_values(values, dim):
@@ -98,11 +106,6 @@ def rho_to_params(rho):
             raise FactorizationFailure(
                 "state is numerically indefinite even after diagonal jitter"
             ) from None
-    T = L[::-1, ::-1].conj().T
-    diag, rows, cols = _tri_indices(dim)
-    values = np.empty(dim * dim)
-    values[:dim] = T[diag, diag].real
-    lower = T[rows, cols]
-    values[dim::2] = lower.real
-    values[dim + 1 :: 2] = lower.imag
+    T = np.ascontiguousarray(L[::-1, ::-1].conj().T)
+    values = T.view(float).reshape(-1)[factor_slots(dim)]
     return StateParams(dim=dim, values=values)

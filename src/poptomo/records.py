@@ -103,7 +103,8 @@ def sidecar_path(path):
     return base + ".meta.json"
 
 
-def _atomic_write(path, text):
+def atomic_write(path, text):
+    """Write text to path through a sibling temporary file and a rename."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
@@ -123,9 +124,9 @@ def save_record(record, path):
         row += [repr(float(v)) for v in record.means[:, j]]
         row += [repr(float(v)) for v in record.sigmas[:, j]]
         lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     sidecar = {"dim": n, "repeats": record.repeats, "meta": record.meta}
-    _atomic_write(sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
+    atomic_write(sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
 
 
 def _parse_float(text, line, column):

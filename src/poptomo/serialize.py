@@ -10,7 +10,6 @@ stored as separate real/imag nested lists.
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .experiment import (
     PulseSegment,
     basis_state_index,
 )
+from .records import atomic_write
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,14 +35,6 @@ def _load_json(path):
             raise ParseError(
                 f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
             ) from None
-
-
-def _dump_json(obj, path):
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def matrix_to_parts(matrix):
@@ -128,7 +120,8 @@ def load_state(path):
 
 
 def save_state(rho, path):
-    _dump_json({"dim": rho.dim, **matrix_to_parts(rho.matrix)}, path)
+    payload = {"dim": rho.dim, **matrix_to_parts(rho.matrix)}
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def parse_schedule(obj, delta_units="ordinary"):
@@ -197,4 +190,4 @@ def save_reconstruction(result, path, *, fidelity=None):
     }
     if fidelity is not None:
         payload["fidelity"] = fidelity
-    _dump_json(payload, path)
+    atomic_write(path, json.dumps(payload, indent=2) + "\n")

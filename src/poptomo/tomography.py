@@ -13,6 +13,7 @@ subplex.  On top of single reconstructions this module provides the
 window-length convergence study and the dephasing-rate sweep.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -20,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DegenerateParams,
     DimensionMismatch,
     EmptyWindow,
     GridMismatch,
@@ -32,10 +34,11 @@ from .dynamics import (
     evolve,
     make_propagator,
     uhlmann_fidelity,
-    vectorize,
 )
 from .optimize import OptResult, SubplexConfig, multi_start
-from .parameterize import StateParams, params_to_rho, rho_matrix_from_values, rho_to_params
+from .parameterize import StateParams, factor_slots, params_to_rho, rho_to_params
+# bound here so that perfbench/tracing.py can count calls through this module
+from .parameterize import rho_matrix_from_values  # noqa: F401
 from .records import MeasurementRecord
 
 GRID_ATOL = 1e-12
@@ -125,30 +128,58 @@ class PopulationPredictor:
 
 
 class _WeightedCost:
-    """Maps raw parameter vectors to the reconstruction error."""
+    """Maps raw parameter vectors to the reconstruction error.
 
-    __slots__ = ("predictor", "targets", "weights", "weight_sums", "dim")
+    A fused real kernel.  At construction the predictor rows are permuted
+    to C order, split into real and imaginary columns and scaled by
+    sqrt(w_ij / sum_j w_ij), as are the targets.  Each evaluation then
+    scatters the parameters into a reused buffer that is the factor T,
+    forms G = T^H T and gets every weighted prediction from one real
+    gemv on G.view(float), divided by Tr(G) = |p|^2.
+    """
+
+    __slots__ = ("dim", "weights", "rows", "targets", "buffer", "factor", "slots")
 
     def __init__(self, predictor, record, weighting):
-        self.predictor = predictor
-        self.dim = predictor.dim
-        self.targets = record.means
+        n = predictor.dim
         if weighting == WEIGHT_INVERSE_VARIANCE:
-            self.weights = 1.0 / np.square(record.sigmas)
+            weights = 1.0 / np.square(record.sigmas)
         elif weighting == WEIGHT_UNIFORM:
-            self.weights = np.ones_like(record.sigmas)
+            weights = np.ones_like(record.sigmas)
         else:
             raise ValueError(f"unknown weighting {weighting!r}")
-        self.weight_sums = self.weights.sum(axis=1)
+        self.dim = n
+        self.weights = weights
+        # (time, level) row order, matching the predictor
+        scale = np.sqrt(weights / weights.sum(axis=1, keepdims=True)).T.reshape(-1)
+        # Re(M @ vec(G)) is conj(M) @ G as floats once M's columns are in C order
+        c_order = np.arange(n * n).reshape((n, n), order="F").ravel()
+        columns = predictor.matrix.take(c_order, axis=1)
+        self.rows = np.conjugate(columns, out=columns).view(float)
+        self.rows *= scale[:, None]
+        self.targets = record.means.T.reshape(-1) * scale
+        self.buffer = np.zeros(2 * n * n)
+        self.factor = self.buffer.view(complex).reshape(n, n)
+        self.slots = factor_slots(n)
 
-    def error_for_vec(self, rho_vec):
-        residual = self.predictor.populations(rho_vec) - self.targets
-        per_level = (self.weights * np.square(residual)).sum(axis=1) / self.weight_sums
+    def _error(self, gram, norm):
+        residual = self.rows @ gram.view(float).reshape(-1)
+        residual /= norm
+        residual -= self.targets
+        per_level = np.square(residual).reshape(-1, self.dim).sum(axis=0)
         return float(np.sqrt(per_level).sum() / self.dim)
 
+    def state_error(self, matrix):
+        """Error of a density matrix (unit trace, so no normalization)."""
+        return self._error(np.ascontiguousarray(matrix, dtype=complex), 1.0)
+
     def __call__(self, values):
-        rho = rho_matrix_from_values(values, self.dim)
-        return self.error_for_vec(rho.reshape(-1, order="F"))
+        norm = float(values @ values)
+        if norm < 1e-300:
+            raise DegenerateParams("all-zero parameter vector has no direction")
+        self.buffer[self.slots] = values
+        T = self.factor
+        return self._error(T.conj().T.dot(T), norm)
 
 
 def _check_record_model(record, model):
@@ -164,8 +195,7 @@ def weighted_error(rho0, record, model, *, weighting=WEIGHT_INVERSE_VARIANCE, dt
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != model dim {model.dim}")
     predictor = PopulationPredictor(model, record.times, dt)
-    cost = _WeightedCost(predictor, record, weighting)
-    return cost.error_for_vec(vectorize(rho0.matrix))
+    return _WeightedCost(predictor, record, weighting).state_error(rho0.matrix)
 
 
 class _StartSampler:
@@ -289,7 +319,7 @@ def reconstruct(
     sampler = _StartSampler(model.dim * model.dim, informed)
     opt = multi_start(cost, sampler, cfg)
     rho0 = params_to_rho(StateParams(dim=model.dim, values=opt.best_x))
-    epsilon = weighted_error(rho0, record, model, weighting=weighting, dt=dt)
+    epsilon = cost.state_error(rho0.matrix)
     if epsilon > epsilon_ceiling:
         raise NoConvergence(
             f"best reconstruction error {epsilon:.3e} exceeds ceiling {epsilon_ceiling:.3e}"
@@ -330,7 +360,7 @@ def truncate_record(record, window):
         means=record.means[:, mask],
         sigmas=record.sigmas[:, mask],
         repeats=record.repeats,
-        meta=record.meta,
+        meta=copy.deepcopy(record.meta),
     )
 
 
@@ -403,7 +433,8 @@ def sweep_gamma(
     Each cell fixes gamma, reconstructs the state on the truncated
     record, and stores the resulting error; the per-window optimal rate
     is the row argmin with ties broken toward the smaller gamma.  Failed
-    cells record +inf instead of aborting the sweep.
+    cells record +inf instead of aborting the sweep; a window where every
+    cell failed has no optimal rate and reports NaN.
     """
     windows = np.sort(np.asarray(windows, dtype=float).ravel())
     gammas = np.sort(np.asarray(gammas, dtype=float).ravel())
@@ -421,7 +452,9 @@ def sweep_gamma(
             except PoptomoError:
                 continue
             surface[wi, gi] = result.epsilon
-    best = gammas[np.argmin(surface, axis=1)]
+    best = np.where(
+        np.isfinite(surface).any(axis=1), gammas[np.argmin(surface, axis=1)], np.nan
+    )
     return GammaSweepResult(
         windows=windows, gammas=gammas, error_surface=surface, gamma_opt=best
     )

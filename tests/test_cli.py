@@ -158,8 +158,40 @@ def test_sweep_gamma_outputs(workspace, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "window_s,gamma_hz,epsilon"
     assert len(lines) == 4
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert [row[1] for row in rows] == [175.0, 375.0, 575.0]
     sidecar = json.loads((tmp_path / "sweep.meta.json").read_text())
     assert sidecar["gamma_opt_hz"] == [375.0]
+
+
+def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch):
+    import poptomo.tomography as tomography
+
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+        "--noiseless",
+    ) == 0
+
+    def failing_reconstruct(*args, **kwargs):
+        raise pt.NoConvergence("no cell converges")
+
+    monkeypatch.setattr(tomography, "reconstruct", failing_reconstruct)
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep-gamma",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--windows", "17.4e-6:17.4e-6:1",
+        "--gammas", "175:575:3",
+        "--out", out,
+    )
+    assert code == 0
+    assert all(line.endswith(",inf") for line in out.read_text().strip().splitlines()[1:])
+    sidecar = json.loads((tmp_path / "sweep.meta.json").read_text())
+    assert sidecar["gamma_opt_hz"] == [None]
 
 
 def test_delta_units_flag_changes_model(workspace):

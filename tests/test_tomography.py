@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poptomo as pt
+import poptomo.tomography as tomography
 import oracles
 from conftest import quick_subplex
 
@@ -79,6 +84,56 @@ class TestWeightedError:
         record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
         with pytest.raises(pt.DimensionMismatch):
             pt.weighted_error(rho3, record, ladder_model)
+
+
+def random_kernel_case(seed, dim, weighting, n_times=9):
+    """Cost kernel on a random model and a noisy record of an unrelated state."""
+    rng = np.random.default_rng(seed)
+    model = pt.EvolutionModel(
+        hamiltonian=pt.GenericHamiltonian(oracles.random_hermitian(rng, dim, TWO_PI * 40e3)),
+        gamma=rng.uniform(0.0, 600.0),
+    )
+    times = np.arange(n_times) * 1.16e-6
+    predictor = pt.PopulationPredictor(model, times)
+    truth = pt.vectorize(oracles.random_density(rng, dim))
+    means = predictor.populations(truth) + rng.normal(0.0, 0.003, (dim, n_times))
+    means /= means.sum(axis=0)
+    record = pt.MeasurementRecord(
+        times=times, means=means, sigmas=rng.uniform(1e-3, 2e-2, (dim, n_times))
+    )
+    return predictor, record, tomography._WeightedCost(predictor, record, weighting)
+
+
+class TestCostKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        weighting=st.sampled_from(["inverse_variance", "uniform"]),
+    )
+    def test_matches_reference_path(self, seed, dim, weighting):
+        predictor, record, cost = random_kernel_case(seed, dim, weighting)
+        values = np.random.default_rng(seed).standard_normal(dim * dim)
+        rho = pt.params_to_rho(pt.StateParams(dim=dim, values=values))
+        predicted = predictor.populations(pt.vectorize(rho.matrix))
+        sigmas = record.sigmas if weighting == "inverse_variance" else np.ones_like(record.sigmas)
+        expected = oracles.weighted_error_reference(predicted, record.means, sigmas)
+        assert cost(values) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert cost.state_error(rho.matrix) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
+    def test_gauge_scaling_is_exact(self, seed, dim):
+        _, _, cost = random_kernel_case(seed, dim, "inverse_variance")
+        values = np.random.default_rng(seed).standard_normal(dim * dim)
+        f = cost(values)
+        assert cost(2.0 * values) == f
+        assert cost(0.5 * values) == f
+
+    def test_zero_vector_rejected(self):
+        _, _, cost = random_kernel_case(0, 3, "inverse_variance")
+        with pytest.raises(pt.DegenerateParams):
+            cost(np.zeros(9))
 
 
 class TestInferGridStep:
@@ -224,6 +279,15 @@ class TestConvergenceStudy:
         with pytest.raises(pt.EmptyWindow):
             pt.truncate_record(record, 0.5 * record.times[1])
 
+    def test_truncated_meta_is_a_copy(self, ladder_model):
+        record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
+        record.meta["warnings"] = ["original"]
+        before = repr(record.meta)
+        trimmed = pt.truncate_record(record, record.times[5])
+        trimmed.meta["warnings"].append("added")
+        trimmed.meta["extra"] = 1
+        assert repr(record.meta) == before
+
 
 class TestSweepGamma:
     def test_noiseless_gamma_recovery(self, ladder):
@@ -258,6 +322,21 @@ class TestSweepGamma:
         sweep = pt.sweep_gamma(record, ladder, [record.span], gammas, cfg)
         gi = int(np.argmin(sweep.error_surface[0]))
         assert sweep.gamma_opt[0] == sweep.gammas[gi]
+
+    def test_failed_window_has_no_optimal_gamma(self, ladder, ladder_model, monkeypatch):
+        record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
+        short = record.times[5]
+
+        def fake_reconstruct(trimmed, model, cfg, **kwargs):
+            if trimmed.span <= short:
+                raise pt.NoConvergence("every cell of the short window fails")
+            return SimpleNamespace(epsilon=abs(model.gamma - 300.0))
+
+        monkeypatch.setattr(tomography, "reconstruct", fake_reconstruct)
+        sweep = pt.sweep_gamma(record, ladder, [short, record.span], [0.0, 300.0, 600.0])
+        assert np.isinf(sweep.error_surface[0]).all()
+        assert np.isnan(sweep.gamma_opt[0])
+        assert sweep.gamma_opt[1] == 300.0
 
     def test_negative_gamma_rejected(self, ladder, ladder_model):
         rho_true = pt.DensityMatrix.maximally_mixed(5)
