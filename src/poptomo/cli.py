@@ -128,7 +128,8 @@ def cmd_sweep_gamma(args):
     print(
         "gamma_opt per window: "
         + ", ".join(
-            f"{w * 1e6:.1f}us->{g:.0f}Hz" for w, g in zip(sweep.windows, sweep.gamma_opt)
+            f"{w * 1e6:.1f}us->" + (f"{g:.0f}Hz" if g is not None else "none")
+            for w, g in zip(sweep.windows, sidecar["gamma_opt_hz"])
         )
     )
     return 0

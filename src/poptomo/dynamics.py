@@ -13,7 +13,10 @@ populations are untouched and every coherence decays as exp(-2*gamma*t).
 Propagation uses the exact exponential of the vectorized generator
 (column-stacking convention, so ``L = -i(I (x) H - H^T (x) I) + D``),
 cached per time step so that sweeps and optimizer inner loops pay one
-``expm`` per grid, not per evaluation.
+``expm`` per grid, not per evaluation.  ``tomography.population_rows``
+turns one cached step into the population rows of a whole grid; the
+population predictor and the drifting-detuning record synthesis both
+go through it.
 
 Basis ordering for the built-in five-level ladder is m_F = +2 ... -2,
 i.e. index 0 is the stretched m_F = +2 sublevel.

@@ -27,7 +27,7 @@ from .dynamics import (
     vectorize,
 )
 from .records import MeasurementRecord, shot_noise_floor
-from .tomography import PopulationPredictor, prepare_pulse_state
+from .tomography import PopulationPredictor, population_rows, prepare_pulse_state
 
 DELTA_UNITS = ("ordinary", "angular")
 
@@ -93,24 +93,10 @@ class ExperimentConfig:
         return np.arange(self.n_samples) * self.sample_interval
 
 
-def _sample_columns(rng, exact, repeats, atoms):
-    """Multinomial shot statistics per time column of exact populations."""
-    n, n_times = exact.shape
-    means = np.empty_like(exact)
-    sigmas = np.empty_like(exact)
-    for j in range(n_times):
-        probs = np.clip(exact[:, j], 0.0, None)
-        probs = probs / probs.sum()
-        freqs = rng.multinomial(atoms, probs, size=repeats) / atoms
-        means[:, j] = freqs.mean(axis=0)
-        sigmas[:, j] = freqs.std(axis=0, ddof=1) if repeats > 1 else 0.0
-    return means, sigmas
-
-
-def _noisy_detuning_populations(rho_true, cfg, rng):
+def _drift_populations(rho_true, cfg, rng):
     """Exact per-shot populations under quasi-static detuning offsets.
 
-    Returns an array (repeats, n, n_times): every shot evolves under its
+    Returns an array (repeats, n_times, n): every shot evolves under its
     own frozen offset, emulating a bias drift much slower than one run.
     """
     h = cfg.hamiltonian
@@ -118,14 +104,12 @@ def _noisy_detuning_populations(rho_true, cfg, rng):
         raise ValidationError("detuning noise requires the 5-level ladder drive")
     times = cfg.times
     rho_vec = vectorize(rho_true.matrix)
-    out = np.empty((cfg.repeats, h.dim, times.size))
-    for k in range(cfg.repeats):
-        offsets = rng.normal(0.0, cfg.detuning_noise, size=times.size)
-        for j, (t, xi) in enumerate(zip(times, offsets)):
-            shifted = Ladder5(h.rabi_omega, h.delta1 + xi, h.delta2 + 2.0 * xi)
-            model = EvolutionModel(hamiltonian=shifted, gamma=cfg.gamma)
-            predictor = PopulationPredictor(model, np.array([t]), dt=t if t > 0 else 1.0)
-            out[k, :, j] = predictor.populations(rho_vec)[:, 0]
+    offsets = rng.normal(0.0, cfg.detuning_noise, size=(cfg.repeats, times.size))
+    out = np.empty((cfg.repeats, times.size, h.dim))
+    for (k, j), xi in np.ndenumerate(offsets):
+        shifted = Ladder5(h.rabi_omega, h.delta1 + xi, h.delta2 + 2.0 * xi)
+        model = EvolutionModel(hamiltonian=shifted, gamma=cfg.gamma)
+        out[k, j] = (population_rows(model, times[j], [1])[0] @ rho_vec).real
     return out
 
 
@@ -134,8 +118,8 @@ def synthesize_record(rho_true, cfg):
 
     Deterministic for a fixed ``cfg.rng_seed``.  With ``noiseless`` the
     means are the exact populations and sigmas sit at the shot-noise
-    floor; otherwise multinomial sampling provides means and sample
-    standard deviations, floored at ingestion.
+    floor; otherwise one multinomial draw over every shot of the record
+    provides means and sample standard deviations, floored at ingestion.
     """
     if rho_true.dim != cfg.hamiltonian.dim:
         raise InvalidState(
@@ -144,36 +128,36 @@ def synthesize_record(rho_true, cfg):
     times = cfg.times
     rng = np.random.default_rng(cfg.rng_seed)
     floor = shot_noise_floor(cfg.repeats, cfg.atoms_per_shot)
+    drift = cfg.detuning_noise > 0.0
 
-    if cfg.detuning_noise > 0.0:
-        per_shot = _noisy_detuning_populations(rho_true, cfg, rng)
-        if cfg.noiseless:
-            means = per_shot.mean(axis=0)
-            sigmas = per_shot.std(axis=0, ddof=1) if cfg.repeats > 1 else np.zeros_like(means)
-        else:
-            n, n_times = per_shot.shape[1:]
-            freqs = np.empty_like(per_shot)
-            for k in range(cfg.repeats):
-                for j in range(n_times):
-                    probs = np.clip(per_shot[k, :, j], 0.0, None)
-                    probs = probs / probs.sum()
-                    freqs[k, :, j] = (
-                        rng.multinomial(cfg.atoms_per_shot, probs) / cfg.atoms_per_shot
-                    )
-            means = freqs.mean(axis=0)
-            sigmas = freqs.std(axis=0, ddof=1) if cfg.repeats > 1 else np.zeros_like(means)
+    # per-shot populations, axes in the order the shots are drawn:
+    # (repeat, time, level) under drift, (time, repeat, level) otherwise
+    if drift:
+        shots = _drift_populations(rho_true, cfg, rng)
+    else:
+        model = EvolutionModel(hamiltonian=cfg.hamiltonian, gamma=cfg.gamma)
+        exact = PopulationPredictor(model, times).populations(vectorize(rho_true.matrix))
+        shots = np.broadcast_to(exact.T[:, None, :], (times.size, cfg.repeats, exact.shape[0]))
+    if not cfg.noiseless:
+        probs = np.clip(shots, 0.0, None)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        shots = rng.multinomial(cfg.atoms_per_shot, probs) / cfg.atoms_per_shot
+
+    if cfg.noiseless and not drift:
+        means, sigmas = exact, np.zeros_like(exact)
+    else:
+        # (level, time): drift records C-ordered, plain ones F-ordered, as
+        # always; the cost's weight sums round differently by layout
+        axis, order = (0, "C") if drift else (1, "F")
+        means = np.asarray(shots.mean(axis=axis).T, order=order)
+        sigmas = (
+            np.asarray(shots.std(axis=axis, ddof=1).T, order=order)
+            if cfg.repeats > 1
+            else np.zeros_like(means)
+        )
         # keep columns exactly normalized in the noiseless averaged case
         if cfg.noiseless:
             means = means / means.sum(axis=0, keepdims=True)
-    else:
-        model = EvolutionModel(hamiltonian=cfg.hamiltonian, gamma=cfg.gamma)
-        predictor = PopulationPredictor(model, times, dt=cfg.sample_interval)
-        exact = predictor.populations(vectorize(rho_true.matrix))
-        if cfg.noiseless:
-            means = exact
-            sigmas = np.zeros_like(exact)
-        else:
-            means, sigmas = _sample_columns(rng, exact, cfg.repeats, cfg.atoms_per_shot)
 
     sigmas = np.maximum(sigmas, floor)
     meta = {

@@ -16,6 +16,7 @@ window-length convergence study and the dephasing-rate sweep.
 import copy
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -48,26 +49,25 @@ WEIGHT_INVERSE_VARIANCE = "inverse_variance"
 WEIGHT_UNIFORM = "uniform"
 
 
-def _float_gcd(a, b, tol=1e-13):
-    while b > tol:
-        a, b = b, math.fmod(a, b)
-    return a
-
-
 def infer_grid_step(times):
-    """Largest dt such that every time is an integer multiple of it."""
-    dt = 0.0
-    smallest = 0.0
-    for t in times:
-        if t > 0.0:
-            if smallest == 0.0:
-                smallest = t
-            dt = t if dt == 0.0 else _float_gcd(dt, t)
-    if dt <= 0.0:
+    """Largest dt such that every time is an integer multiple of it.
+
+    dt is the first positive time over the least common denominator of
+    every positive time's ratio to it (the nearest fraction with a
+    denominator up to MAX_GRID_STEPS), so a uniform grid reproduces its
+    spacing bit-for-bit.
+    """
+    positive = [t for t in times if t > 0.0]
+    if not positive:
         raise GridMismatch("no positive time in the record")
-    # snap to an exact divisor of the first positive time so that a
-    # uniform grid reproduces its spacing bit-for-bit
-    dt = smallest / round(smallest / dt)
+    first = positive[0]
+    divisor = 1
+    for t in positive:
+        ratio = Fraction(t / first).limit_denominator(MAX_GRID_STEPS)
+        divisor = math.lcm(divisor, ratio.denominator)
+        if divisor > MAX_GRID_STEPS:
+            raise GridMismatch("times do not share a reasonable uniform grid")
+    dt = first / divisor
     for t in times:
         k = round(t / dt)
         if abs(t - k * dt) > GRID_ATOL:
@@ -79,47 +79,49 @@ def infer_grid_step(times):
     return dt
 
 
+def population_rows(model, dt, steps):
+    """Diagonal-extraction rows of exp(L*dt)^k for each k of sorted ``steps``.
+
+    One ``expm``, then prefix products over the gaps.  Returns an array
+    (len(steps), n, n^2); block j maps vec(rho0) to the populations at
+    steps[j] * dt.
+    """
+    n = model.dim
+    step_matrix = make_propagator(model, dt).step_matrix
+    extract = np.zeros((n, n * n), dtype=complex)
+    extract[np.arange(n), np.arange(n) * (n + 1)] = 1.0
+    rows = np.empty((len(steps), n, n * n), dtype=complex)
+    current = extract
+    previous = 0
+    for j, k in enumerate(steps):
+        gap = k - previous
+        if gap:
+            current = current @ np.linalg.matrix_power(step_matrix, gap)
+            previous = k
+        rows[j] = current
+    return rows
+
+
 class PopulationPredictor:
     """Precomputed linear map from vec(rho0) to populations at fixed times.
 
     Stacks the diagonal-extraction rows of exp(L*t_j) for every record
     time, so each candidate state costs one small matrix-vector product.
-    Built once per (model, grid) and reused across optimizer evaluations.
+    The grid step is inferred from the times.  Built once per
+    (model, grid) and reused across optimizer evaluations.
     """
 
-    def __init__(self, model, times, dt=None):
+    def __init__(self, model, times):
         times = np.asarray(times, dtype=float).ravel()
         if np.any(np.diff(times) < 0.0):
             raise GridMismatch("times must be sorted")
-        if dt is None:
-            dt = infer_grid_step(times)
         self.model = model
         self.times = times
-        self.dt = float(dt)
-        n = model.dim
-        steps = []
-        for t in times:
-            k = round(t / self.dt) if self.dt > 0.0 else 0
-            if abs(t - k * self.dt) > GRID_ATOL:
-                raise GridMismatch(
-                    f"time {t!r} is not a multiple of the propagator step {self.dt!r}"
-                )
-            steps.append(int(k))
-        step_matrix = make_propagator(model, self.dt).step_matrix
-        extract = np.zeros((n, n * n), dtype=complex)
-        extract[np.arange(n), np.arange(n) * (n + 1)] = 1.0
-        blocks = np.empty((times.size, n, n * n), dtype=complex)
-        current = extract
-        previous = 0
-        for j, k in enumerate(steps):
-            gap = k - previous
-            if gap:
-                current = current @ np.linalg.matrix_power(step_matrix, gap)
-                previous = k
-            blocks[j] = current
+        self.dt = float(infer_grid_step(times))
+        self.dim = model.dim
+        steps = [round(t / self.dt) for t in times]
         # (T*n, n^2): row block per time point
-        self.matrix = blocks.reshape(times.size * n, n * n)
-        self.dim = n
+        self.matrix = population_rows(model, self.dt, steps).reshape(times.size * self.dim, -1)
 
     def populations(self, rho_vec):
         """Population matrix (n, T) for a column-stacked state vector."""
@@ -189,12 +191,12 @@ def _check_record_model(record, model):
         )
 
 
-def weighted_error(rho0, record, model, *, weighting=WEIGHT_INVERSE_VARIANCE, dt=None):
+def weighted_error(rho0, record, model, *, weighting=WEIGHT_INVERSE_VARIANCE):
     """Reconstruction error of a candidate initial state against a record."""
     _check_record_model(record, model)
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != model dim {model.dim}")
-    predictor = PopulationPredictor(model, record.times, dt)
+    predictor = PopulationPredictor(model, record.times)
     return _WeightedCost(predictor, record, weighting).state_error(rho0.matrix)
 
 
@@ -299,7 +301,6 @@ def reconstruct(
     *,
     weighting=WEIGHT_INVERSE_VARIANCE,
     epsilon_ceiling=1.0,
-    dt=None,
 ):
     """Reconstruct the initial density matrix from a measurement record.
 
@@ -310,7 +311,7 @@ def reconstruct(
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     _check_record_model(record, model)
-    predictor = PopulationPredictor(model, record.times, dt)
+    predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record, weighting)
     informed = [_diagonal_start(record)]
     inversion = _linear_inversion_start(predictor, cost, record)
@@ -382,7 +383,6 @@ def convergence_study(
     *,
     reference=None,
     weighting=WEIGHT_INVERSE_VARIANCE,
-    dt=None,
 ):
     """Reconstruct on truncated records of increasing length.
 
@@ -393,7 +393,7 @@ def convergence_study(
     points = []
     for window in sorted(windows):
         trimmed = truncate_record(record, window)
-        result = reconstruct(trimmed, model, cfg, weighting=weighting, dt=dt)
+        result = reconstruct(trimmed, model, cfg, weighting=weighting)
         infidelity = None
         if reference is not None:
             infidelity = 1.0 - uhlmann_fidelity(result.rho0, reference)
@@ -426,7 +426,6 @@ def sweep_gamma(
     cfg=None,
     *,
     weighting=WEIGHT_INVERSE_VARIANCE,
-    dt=None,
 ):
     """Reconstruct per (window, gamma) cell and find the best rate per window.
 
@@ -448,7 +447,7 @@ def sweep_gamma(
         for gi, gamma in enumerate(gammas):
             model = EvolutionModel(hamiltonian=hamiltonian, gamma=float(gamma))
             try:
-                result = reconstruct(trimmed, model, cfg, weighting=weighting, dt=dt)
+                result = reconstruct(trimmed, model, cfg, weighting=weighting)
             except PoptomoError:
                 continue
             surface[wi, gi] = result.epsilon

@@ -3,7 +3,10 @@
 Everything here is deliberately written from the defining formulas
 (projector sums, explicit commutators, fixed-step RK4, closed-form
 solutions) and never touches the package's vectorized-propagator code
-path, so agreement between the two is meaningful.
+path, so agreement between the two is meaningful.  The one exception is
+``reference_record``: it pins the record sampler's draw order and memory
+layout, not its physics, so it propagates with the package's
+``make_propagator``.
 """
 
 import numpy as np
@@ -111,3 +114,59 @@ def weighted_error_reference(predicted, measured, sigmas):
         den = float(weights[i].sum())
         total += np.sqrt(num / den)
     return total / n
+
+
+def reference_record(rho, cfg):
+    """(means, sigmas) of ``synthesize_record`` drawn shot group by shot group.
+
+    The plain path draws one multinomial call of ``repeats`` shots per
+    time column from prefix products of one cached step; the drift path
+    draws all offsets shot by shot, then one multinomial call per shot
+    and time, each from ``extract @ exp(L*t)`` under that shot's shifted
+    ladder.  Arrays keep the layouts these loops produce.
+    """
+    import poptomo as pt
+
+    n = rho.dim
+    extract = np.zeros((n, n * n), dtype=complex)
+    extract[np.arange(n), np.arange(n) * (n + 1)] = 1.0
+    rho_vec = rho.matrix.reshape(-1, order="F")
+    times = cfg.times
+    rng = np.random.default_rng(cfg.rng_seed)
+    atoms, repeats = cfg.atoms_per_shot, cfg.repeats
+    if cfg.detuning_noise > 0.0:
+        h = cfg.hamiltonian
+        freqs = np.empty((repeats, n, times.size))
+        for k in range(repeats):
+            offsets = rng.normal(0.0, cfg.detuning_noise, size=times.size)
+            for j, (t, xi) in enumerate(zip(times, offsets)):
+                shifted = pt.Ladder5(h.rabi_omega, h.delta1 + xi, h.delta2 + 2.0 * xi)
+                model = pt.EvolutionModel(hamiltonian=shifted, gamma=cfg.gamma)
+                rows = extract @ pt.make_propagator(model, t).step_matrix if t > 0 else extract
+                freqs[k, :, j] = (rows @ rho_vec).real
+        if not cfg.noiseless:
+            for k in range(repeats):
+                for j in range(times.size):
+                    probs = np.clip(freqs[k, :, j], 0.0, None)
+                    freqs[k, :, j] = rng.multinomial(atoms, probs / probs.sum()) / atoms
+        means = freqs.mean(axis=0)
+        sigmas = freqs.std(axis=0, ddof=1) if repeats > 1 else np.zeros_like(means)
+        if cfg.noiseless:
+            means = means / means.sum(axis=0, keepdims=True)
+    else:
+        model = pt.EvolutionModel(hamiltonian=cfg.hamiltonian, gamma=cfg.gamma)
+        step = pt.make_propagator(model, cfg.sample_interval).step_matrix
+        blocks = [extract]
+        for _ in times[1:]:
+            blocks.append(blocks[-1] @ step)
+        exact = (np.concatenate(blocks) @ rho_vec).real.reshape(times.size, n).T
+        if cfg.noiseless:
+            means, sigmas = exact, np.zeros_like(exact)
+        else:
+            means, sigmas = np.empty_like(exact), np.empty_like(exact)
+            for j in range(times.size):
+                probs = np.clip(exact[:, j], 0.0, None)
+                shots = rng.multinomial(atoms, probs / probs.sum(), size=repeats) / atoms
+                means[:, j] = shots.mean(axis=0)
+                sigmas[:, j] = shots.std(axis=0, ddof=1) if repeats > 1 else 0.0
+    return means, np.maximum(sigmas, pt.shot_noise_floor(repeats, atoms))

@@ -164,7 +164,7 @@ def test_sweep_gamma_outputs(workspace, tmp_path):
     assert sidecar["gamma_opt_hz"] == [375.0]
 
 
-def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch):
+def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch, capsys):
     import poptomo.tomography as tomography
 
     assert run_cli(
@@ -179,6 +179,7 @@ def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch)
         raise pt.NoConvergence("no cell converges")
 
     monkeypatch.setattr(tomography, "reconstruct", failing_reconstruct)
+    capsys.readouterr()
     out = tmp_path / "sweep.csv"
     code = run_cli(
         "sweep-gamma",
@@ -192,6 +193,7 @@ def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch)
     assert all(line.endswith(",inf") for line in out.read_text().strip().splitlines()[1:])
     sidecar = json.loads((tmp_path / "sweep.meta.json").read_text())
     assert sidecar["gamma_opt_hz"] == [None]
+    assert capsys.readouterr().out == "gamma_opt per window: 17.4us->none\n"
 
 
 def test_delta_units_flag_changes_model(workspace):

@@ -1,8 +1,9 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poptomo as pt
@@ -70,14 +71,15 @@ class TestWeightedError:
         assert weighted != uniform  # sigmas vary across points
 
     def test_grid_mismatch(self, ladder_model):
-        times = np.array([0.0, 1.0e-6, 2.0e-6, 2.437e-6])
+        # pi * 1e-6 shares no grid step with the other times
+        times = np.array([0.0, 1.0e-6, 2.0e-6, np.pi * 1e-6])
         means = np.tile(np.full((5, 1), 0.2), (1, 4))
         record = pt.MeasurementRecord(
             times=times, means=means, sigmas=np.full((5, 4), 0.01)
         )
         rho = pt.DensityMatrix.maximally_mixed(5)
         with pytest.raises(pt.GridMismatch):
-            pt.weighted_error(rho, record, ladder_model, dt=1.0e-6)
+            pt.weighted_error(rho, record, ladder_model)
 
     def test_dimension_mismatch(self, ladder_model):
         rho3 = pt.DensityMatrix.maximally_mixed(3)
@@ -148,6 +150,44 @@ class TestInferGridStep:
     def test_incommensurate_times_rejected(self):
         with pytest.raises(pt.GridMismatch):
             pt.infer_grid_step(np.array([1.0e-6, np.pi * 1e-6]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        step=st.floats(1e-8, 1e-4),
+        indices=st.sets(st.integers(0, 300), min_size=2).filter(lambda ks: max(ks) > 0),
+    )
+    # a float Euclid with a fixed 1e-13 stopping tolerance rejected this grid
+    @example(step=3.826200643130101e-05, indices={68, 78, 143, 156})
+    def test_gapped_subsets_of_a_uniform_grid(self, step, indices):
+        ks = sorted(indices)
+        times = np.array(ks) * step
+        dt = pt.infer_grid_step(times)
+        assert dt == pytest.approx(math.gcd(*ks) * step, rel=1e-9)
+        assert np.all(np.abs(times - np.round(times / dt) * dt) <= tomography.GRID_ATOL)
+
+
+class TestPropagationRoutes:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        gamma=st.floats(0.0, 750.0),
+        k=st.integers(0, 12),
+    )
+    def test_evolve_matches_predictor(self, seed, dim, gamma, k):
+        """Stepping a state k times agrees with the predictor's k-th row block."""
+        rng = np.random.default_rng(seed)
+        model = pt.EvolutionModel(
+            hamiltonian=pt.GenericHamiltonian(oracles.random_hermitian(rng, dim, TWO_PI * 40e3)),
+            gamma=gamma,
+        )
+        rho = pt.DensityMatrix(oracles.random_density(rng, dim))
+        dt = 1.16e-6
+        stepped = pt.populations(pt.evolve(rho, pt.make_propagator(model, dt), k))
+        predicted = pt.PopulationPredictor(model, np.arange(13) * dt).populations(
+            pt.vectorize(rho.matrix)
+        )
+        np.testing.assert_allclose(stepped, predicted[:, k], rtol=0.0, atol=1e-10)
 
 
 class TestReconstruct:
