@@ -26,7 +26,7 @@ from .serialize import (
 from .tomography import EvolutionModel, convergence_study, reconstruct, sweep_gamma
 
 
-def _parse_range(text, count_must_be_int=True):
+def _parse_range(text):
     """start:stop:count range syntax, e.g. 10e-6:100e-6:10."""
     parts = text.split(":")
     if len(parts) != 3:
@@ -229,7 +229,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

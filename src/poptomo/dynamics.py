@@ -34,6 +34,7 @@ from .errors import (
     InvalidState,
     NonHermitianInput,
     NumericalDrift,
+    ValidationError,
 )
 
 HERMITICITY_ATOL = 1e-12
@@ -50,6 +51,8 @@ def _square_complex(entries, what):
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} has non-finite entries")
     return m
 
 
@@ -242,7 +245,10 @@ def make_propagator(model, dt):
     if dt == 0.0:
         step = np.eye(n * n, dtype=complex)
     else:
-        step = expm(liouvillian_matrix(model) * dt)
+        generator = liouvillian_matrix(model) * dt
+        if not np.all(np.isfinite(generator)):
+            raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
+        step = expm(generator)
     step.setflags(write=False)
     return Propagator(model=model, dt=dt, step_matrix=step)
 

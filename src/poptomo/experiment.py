@@ -45,7 +45,7 @@ def basis_state_index(name, dim=5):
     if isinstance(name, int):
         index = name
     else:
-        if dim != 5 or name not in BASIS_STATE_NAMES:
+        if dim != 5 or not isinstance(name, str) or name not in BASIS_STATE_NAMES:
             raise ValidationError(f"unknown basis state {name!r} for dim {dim}")
         index = BASIS_STATE_NAMES[name]
     if not 0 <= index < dim:
@@ -146,15 +146,9 @@ def synthesize_record(rho_true, cfg):
     if cfg.noiseless and not drift:
         means, sigmas = exact, np.zeros_like(exact)
     else:
-        # (level, time): drift records C-ordered, plain ones F-ordered, as
-        # always; the cost's weight sums round differently by layout
-        axis, order = (0, "C") if drift else (1, "F")
-        means = np.asarray(shots.mean(axis=axis).T, order=order)
-        sigmas = (
-            np.asarray(shots.std(axis=axis, ddof=1).T, order=order)
-            if cfg.repeats > 1
-            else np.zeros_like(means)
-        )
+        axis = 0 if drift else 1
+        means = shots.mean(axis=axis).T
+        sigmas = shots.std(axis=axis, ddof=1).T if cfg.repeats > 1 else np.zeros_like(means)
         # keep columns exactly normalized in the noiseless averaged case
         if cfg.noiseless:
             means = means / means.sum(axis=0, keepdims=True)

@@ -13,56 +13,51 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteObjective
+from .errors import NonFiniteObjective, ValidationError
 
 XTOL = "xtol"
 FTOL = "ftol"
 MAX_EVALS = "max_evals"
 
+# Nelder & Mead's coefficients (Comput. J. 7, 308, 1965), which are also
+# Rowan's subplex defaults.
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+# Largest subplex block; at this bound ceil(n / NSMAX) blocks are never
+# smaller than 2.
+NSMAX = 5
+# Initial simplex offset, relative to each start coordinate.
+INITIAL_STEP = 0.1
+
 
 @dataclass(frozen=True)
 class SimplexConfig:
-    """Coefficients and stopping rules for one simplex run."""
+    """Stopping rules for one simplex run."""
 
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     x_tol: float = 1e-8
     f_tol: float = 1e-12
     max_evals: int = 200_000
 
     def __post_init__(self):
-        if self.expansion <= 1.0:
-            raise ValueError("expansion coefficient must be > 1")
-        if not 0.0 < self.contraction < 1.0:
-            raise ValueError("contraction coefficient must be in (0, 1)")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink coefficient must be in (0, 1)")
         if self.x_tol <= 0.0 or self.f_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
+            raise ValidationError("tolerances must be positive")
         if self.max_evals < 1:
-            raise ValueError("max_evals must be at least 1")
+            raise ValidationError("max_evals must be at least 1")
 
 
 @dataclass(frozen=True)
 class SubplexConfig:
-    """Subspace bounds, initial step and restart policy on top of a simplex."""
+    """Simplex stopping rules plus the multi-start restart policy."""
 
     simplex: SimplexConfig = field(default_factory=SimplexConfig)
-    nsmin: int = 2
-    nsmax: int = 5
-    initial_step: float = 0.1
     restarts: int = 32
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.nsmin <= self.nsmax:
-            raise ValueError("need 1 <= nsmin <= nsmax")
-        if self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise ValidationError("restarts must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +86,6 @@ class _Evaluator:
         self.evals = 0
         self.nonfinite = 0
 
-    @property
-    def remaining(self):
-        return self.max_evals - self.evals
-
     def __call__(self, x):
         if self.evals >= self.max_evals:
             raise _BudgetExhausted
@@ -110,19 +101,14 @@ class _Evaluator:
         return value
 
 
-def _initial_steps(x0, step):
-    """Per-coordinate simplex offsets; scalar steps scale with |x0|.
+def _initial_steps(x0):
+    """Per-coordinate simplex offsets, INITIAL_STEP relative to |x0|.
 
     Relative scaling keeps the search trajectory covariant under an
     overall rescaling of the start point, which matters when the
     objective itself is scale-invariant.
     """
-    if np.ndim(step) > 0:
-        s = np.asarray(step, dtype=float)
-        if s.shape != x0.shape:
-            raise ValueError("step array must match x0 shape")
-        return s.copy()
-    return np.where(x0 != 0.0, step * x0, step)
+    return np.where(x0 != 0.0, INITIAL_STEP * x0, INITIAL_STEP)
 
 
 def _nm_core(ev, x0, cfg, steps):
@@ -145,10 +131,6 @@ def _nm_core(ev, x0, cfg, steps):
         k = int(np.argmin(fsim[:evaluated])) if evaluated else 0
         return sim[k].copy(), float(fsim[k]), MAX_EVALS
 
-    alpha = cfg.reflection
-    chi = cfg.expansion
-    psi = cfg.contraction
-    sigma = cfg.shrink
     reason = None
     while reason is None:
         order = np.argsort(fsim, kind="stable")
@@ -162,10 +144,10 @@ def _nm_core(ev, x0, cfg, steps):
             break
         try:
             centroid = sim[:-1].mean(axis=0)
-            xr = centroid + alpha * (centroid - sim[-1])
+            xr = centroid + REFLECTION * (centroid - sim[-1])
             fr = ev(xr)
             if fr < fsim[0]:
-                xe = centroid + alpha * chi * (centroid - sim[-1])
+                xe = centroid + REFLECTION * EXPANSION * (centroid - sim[-1])
                 fe = ev(xe)
                 if fe < fr:
                     sim[-1], fsim[-1] = xe, fe
@@ -176,14 +158,14 @@ def _nm_core(ev, x0, cfg, steps):
             else:
                 shrink_needed = False
                 if fr < fsim[-1]:
-                    xc = centroid + psi * alpha * (centroid - sim[-1])
+                    xc = centroid + CONTRACTION * REFLECTION * (centroid - sim[-1])
                     fc = ev(xc)
                     if fc <= fr:
                         sim[-1], fsim[-1] = xc, fc
                     else:
                         shrink_needed = True
                 else:
-                    xcc = centroid - psi * (centroid - sim[-1])
+                    xcc = centroid - CONTRACTION * (centroid - sim[-1])
                     fcc = ev(xcc)
                     if fcc < fsim[-1]:
                         sim[-1], fsim[-1] = xcc, fcc
@@ -191,7 +173,7 @@ def _nm_core(ev, x0, cfg, steps):
                         shrink_needed = True
                 if shrink_needed:
                     for i in range(1, n + 1):
-                        xs = sim[0] + sigma * (sim[i] - sim[0])
+                        xs = sim[0] + SHRINK * (sim[i] - sim[0])
                         fs = ev(xs)
                         sim[i], fsim[i] = xs, fs
         except _BudgetExhausted:
@@ -200,20 +182,19 @@ def _nm_core(ev, x0, cfg, steps):
     return sim[best].copy(), float(fsim[best]), reason
 
 
-def nelder_mead(f, x0, cfg=None, *, step=0.1):
+def nelder_mead(f, x0, cfg=None):
     """Minimize f from x0 with a single Nelder-Mead simplex.
 
-    ``step`` sizes the initial simplex (scalar: relative to each
-    coordinate; array: absolute per-coordinate offsets).  Stops when the
-    simplex diameter drops below ``x_tol``, the value spread drops below
-    ``f_tol``, or the budget runs out.
+    The initial simplex offsets each coordinate by INITIAL_STEP relative
+    to it.  Stops when the simplex diameter drops below ``x_tol``, the
+    value spread drops below ``f_tol``, or the budget runs out.
     """
     cfg = cfg if cfg is not None else SimplexConfig()
     x0 = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+        raise ValidationError("x0 must be finite")
     ev = _Evaluator(f, cfg.max_evals)
-    best_x, best_f, reason = _nm_core(ev, x0, cfg, _initial_steps(x0, step))
+    best_x, best_f, reason = _nm_core(ev, x0, cfg, _initial_steps(x0))
     return OptResult(
         best_x=best_x,
         best_f=best_f,
@@ -223,15 +204,9 @@ def nelder_mead(f, x0, cfg=None, *, step=0.1):
     )
 
 
-def _partition_sizes(n, nsmin, nsmax):
-    """Split n coordinates into blocks sized within [nsmin, nsmax]."""
-    for k in range(math.ceil(n / nsmax), n // max(nsmin, 1) + 1):
-        base, extra = divmod(n, k)
-        if base >= nsmin and base + (1 if extra else 0) <= nsmax:
-            return [base + 1] * extra + [base] * (k - extra)
-    # Infeasible bounds (e.g. nsmin=nsmax=2 with odd n): keep nsmax, let
-    # the last block go short.
-    k = math.ceil(n / nsmax)
+def _partition_sizes(n):
+    """Split n > NSMAX coordinates into ceil(n / NSMAX) near-equal blocks."""
+    k = math.ceil(n / NSMAX)
     base, extra = divmod(n, k)
     return [base + 1] * extra + [base] * (k - extra)
 
@@ -256,58 +231,34 @@ def subplex(f, x0, cfg=None):
     """Minimize f by cycling Nelder-Mead over progress-ordered subspaces.
 
     Coordinates are sorted by the magnitude of their change in the last
-    cycle and partitioned into blocks of nsmin..nsmax; each block is
+    cycle and partitioned into blocks of 2..NSMAX; each block is
     minimized with the others frozen.  Cycling stops when a full cycle
     improves less than ``f_tol``, moves less than ``x_tol``, or exhausts
-    the budget.  The best value is non-increasing across cycles.
+    the budget.  The best value is non-increasing across cycles.  With
+    at most NSMAX coordinates this is one ``nelder_mead`` run.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     scfg = cfg.simplex
     x0 = np.asarray(x0, dtype=float).ravel()
     if not np.all(np.isfinite(x0)):
-        raise ValueError("x0 must be finite")
+        raise ValidationError("x0 must be finite")
     n = x0.size
+    if n <= NSMAX:
+        return nelder_mead(f, x0, scfg)
+
     ev = _Evaluator(f, scfg.max_evals)
-
-    if n <= cfg.nsmax:
-        best_x, best_f, reason = _nm_core(
-            ev, x0, scfg, _initial_steps(x0, cfg.initial_step)
-        )
-        return OptResult(
-            best_x=best_x,
-            best_f=best_f,
-            evals=ev.evals,
-            converged_by=reason,
-            per_restart_f=np.array([best_f]),
-        )
-
     x = x0.copy()
-    try:
-        fx = ev(x)
-    except _BudgetExhausted:
-        return OptResult(
-            best_x=x,
-            best_f=math.inf,
-            evals=ev.evals,
-            converged_by=MAX_EVALS,
-            per_restart_f=np.array([math.inf]),
-        )
-    step_vec = _initial_steps(x0, cfg.initial_step)
+    fx = ev(x)
+    step_vec = _initial_steps(x0)
     dx = np.zeros(n)
-    sizes = _partition_sizes(n, cfg.nsmin, cfg.nsmax)
+    sizes = _partition_sizes(n)
     reason = None
     while reason is None:
-        if ev.remaining <= 0:
-            reason = MAX_EVALS
-            break
         x_prev = x.copy()
         f_prev = fx
         order = np.argsort(-np.abs(dx), kind="stable")
         start = 0
         for size in sizes:
-            if ev.remaining <= 0:
-                reason = MAX_EVALS
-                break
             idx = order[start : start + size]
             start += size
             sub = _SubObjective(ev, x, idx)
@@ -316,7 +267,7 @@ def subplex(f, x0, cfg=None):
                 x = x.copy()
                 x[idx] = sub_x
                 fx = sub_f
-            if sub_reason == MAX_EVALS and ev.remaining <= 0:
+            if sub_reason == MAX_EVALS:
                 reason = MAX_EVALS
                 break
         if reason is not None:

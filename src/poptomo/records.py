@@ -54,8 +54,10 @@ class MeasurementRecord:
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).ravel()
-        means = np.asarray(self.means, dtype=float)
-        sigmas = np.asarray(self.sigmas, dtype=float)
+        # one layout for every record: reductions along time (the cost's
+        # weight sums) round differently for C- and F-ordered arrays
+        means = np.asarray(self.means, dtype=float, order="F")
+        sigmas = np.asarray(self.sigmas, dtype=float, order="F")
         if times.size < 1 or not np.all(np.isfinite(times)):
             raise SchemaError("times", "must be a non-empty finite vector")
         if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
@@ -179,7 +181,13 @@ def load_record(path):
                 sidecar = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"sidecar is not valid JSON: {exc}", line=exc.lineno, column=exc.colno) from None
-        repeats = int(sidecar.get("repeats", 1))
+        if not isinstance(sidecar, dict) or not isinstance(sidecar.get("meta", {}), dict):
+            raise SchemaError("sidecar", "expected an object whose 'meta' is an object")
+        repeats = sidecar.get("repeats", 1)
+        try:
+            repeats = int(repeats)
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError("repeats", f"expected an integer, got {repeats!r}") from None
         meta = dict(sidecar.get("meta", {}))
 
     if np.any(sigmas < 0.0):

@@ -30,11 +30,23 @@ TWO_PI = 2.0 * math.pi
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
             ) from None
+    if not isinstance(obj, dict):
+        raise SchemaError(str(path), "expected a JSON object")
+    return obj
+
+
+def _number(obj, key, default, kind=float):
+    """obj[key] (or the default) as a number; SchemaError names a bad field."""
+    value = obj.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(key, f"expected a number, got {value!r}") from None
 
 
 def matrix_to_parts(matrix):
@@ -72,8 +84,8 @@ def parse_hamiltonian(obj, delta_units="ordinary"):
         except (KeyError, TypeError, ValueError):
             raise SchemaError("hamiltonian", "ladder5 needs numeric rabi_hz/delta1/delta2") from None
         if "delta1_rad_s" in obj or "delta2_rad_s" in obj:
-            d1 = float(obj.get("delta1_rad_s", 0.0))
-            d2 = float(obj.get("delta2_rad_s", 0.0))
+            d1 = _number(obj, "delta1_rad_s", 0.0)
+            d2 = _number(obj, "delta2_rad_s", 0.0)
             return Ladder5(rabi_omega=TWO_PI * rabi, delta1=d1, delta2=d2)
         return Ladder5(
             rabi_omega=TWO_PI * rabi,
@@ -91,7 +103,7 @@ def load_model(path, delta_units=None):
     units = delta_units or obj.get("delta_units", "ordinary")
     return EvolutionModel(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
-        gamma=float(obj.get("gamma_hz", 0.0)),
+        gamma=_number(obj, "gamma_hz", 0.0),
     )
 
 
@@ -101,14 +113,14 @@ def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None)
     units = delta_units or obj.get("delta_units", "ordinary")
     cfg = ExperimentConfig(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
-        gamma=float(obj.get("gamma_hz", 0.0)),
-        sample_interval=float(obj.get("sample_interval_s", 1.16e-6)),
-        n_samples=int(obj.get("n_samples", 16)),
-        repeats=int(obj.get("repeats", 5)),
-        atoms_per_shot=int(obj.get("atoms_per_shot", 80_000)),
-        rng_seed=int(seed if seed is not None else obj.get("rng_seed", 0)),
+        gamma=_number(obj, "gamma_hz", 0.0),
+        sample_interval=_number(obj, "sample_interval_s", 1.16e-6),
+        n_samples=_number(obj, "n_samples", 16, int),
+        repeats=_number(obj, "repeats", 5, int),
+        atoms_per_shot=_number(obj, "atoms_per_shot", 80_000, int),
+        rng_seed=int(seed) if seed is not None else _number(obj, "rng_seed", 0, int),
         noiseless=bool(noiseless if noiseless is not None else obj.get("noiseless", False)),
-        detuning_noise=TWO_PI * float(obj.get("detuning_noise_hz", 0.0)),
+        detuning_noise=TWO_PI * _number(obj, "detuning_noise_hz", 0.0),
         delta_units=units,
     )
     return cfg

@@ -28,6 +28,7 @@ from .errors import (
     GridMismatch,
     NoConvergence,
     PoptomoError,
+    ValidationError,
 )
 from .dynamics import (
     DensityMatrix,
@@ -149,7 +150,7 @@ class _WeightedCost:
         elif weighting == WEIGHT_UNIFORM:
             weights = np.ones_like(record.sigmas)
         else:
-            raise ValueError(f"unknown weighting {weighting!r}")
+            raise ValidationError(f"unknown weighting {weighting!r}")
         self.dim = n
         self.weights = weights
         # (time, level) row order, matching the predictor
@@ -440,7 +441,7 @@ def sweep_gamma(
     if gammas.size == 0:
         raise EmptyWindow("need at least one gamma value")
     if np.any(gammas < 0.0):
-        raise ValueError("dephasing rates must be non-negative")
+        raise ValidationError("dephasing rates must be non-negative")
     surface = np.full((windows.size, gammas.size), np.inf)
     for wi, window in enumerate(windows):
         trimmed = truncate_record(record, window)

@@ -257,3 +257,42 @@ def test_bad_range_syntax_exits_2(workspace, tmp_path):
         "--out", tmp_path / "s.csv",
     )
     assert code == 2
+
+
+MALFORMED_INPUTS = {
+    "model_gamma_list": ("model", lambda m: {**m, "gamma_hz": [1]}),
+    "model_gamma_nan": ("model", lambda m: {**m, "gamma_hz": float("nan")}),
+    "model_rabi_inf": (
+        "model", lambda m: {**m, "hamiltonian": {**m["hamiltonian"], "rabi_hz": float("inf")}}
+    ),
+    "model_not_an_object": ("model", lambda m: [m]),
+    "sidecar_meta_string": ("sidecar", lambda s: {**s, "meta": "abc"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2(workspace, tmp_path, case):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    which, corrupt = MALFORMED_INPUTS[case]
+    path = workspace["model"] if which == "model" else tmp_path / "rec.meta.json"
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    code = run_cli(
+        "reconstruct",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--out", tmp_path / "r.json",
+        "--restarts", "1",
+        "--max-evals", "200",
+    )
+    assert code == 2
+
+
+def test_non_finite_state_exits_2(tmp_path):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"real": [[float("nan"), 0.0], [0.0, 1.0]]}))
+    assert run_cli("fidelity", "--a", bad, "--b", bad) == 2

@@ -112,7 +112,10 @@ SAMPLER_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SAMPLER_CASES))
 def test_sampler_matches_reference_loops(case, ladder):
-    """One vectorised draw reproduces the per-column and per-shot loops bit for bit."""
+    """One vectorised draw reproduces the per-column and per-shot loops bit for bit.
+
+    Every record array is F-ordered, whichever path drew it.
+    """
     dim, kwargs = SAMPLER_CASES[case]
     rng = np.random.default_rng(11)
     if dim == 5:
@@ -125,8 +128,7 @@ def test_sampler_matches_reference_loops(case, ladder):
     means, sigmas = oracles.reference_record(rho, cfg)
     for got, want in ((record.means, means), (record.sigmas, sigmas)):
         np.testing.assert_array_equal(got, want)
-        assert got.flags.c_contiguous == want.flags.c_contiguous
-        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.flags.f_contiguous
 
 
 class TestPreparation:

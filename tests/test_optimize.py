@@ -69,11 +69,7 @@ class TestNelderMead:
         assert res.evals == evals["n"] == 37
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            pt.SimplexConfig(expansion=0.9)
-        with pytest.raises(ValueError):
-            pt.SimplexConfig(contraction=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(pt.ValidationError):
             pt.SimplexConfig(x_tol=0.0)
 
 
@@ -89,7 +85,7 @@ class TestSubplex:
         cfg = pt.SubplexConfig()
         x0 = np.array([1.0, -2.0, 0.5])
         sub = pt.subplex(rosenbrock, x0, cfg)
-        nm = pt.nelder_mead(rosenbrock, x0, cfg.simplex, step=cfg.initial_step)
+        nm = pt.nelder_mead(rosenbrock, x0, cfg.simplex)
         assert sub.best_f == nm.best_f
         assert sub.evals == nm.evals
         np.testing.assert_array_equal(sub.best_x, nm.best_x)
@@ -123,10 +119,37 @@ class TestSubplex:
     def test_partition_sizes(self):
         from poptomo.optimize import _partition_sizes
 
-        assert _partition_sizes(25, 2, 5) == [5, 5, 5, 5, 5]
-        assert sum(_partition_sizes(26, 2, 5)) == 26
-        assert all(2 <= s <= 5 for s in _partition_sizes(26, 2, 5))
-        assert all(2 <= s <= 5 for s in _partition_sizes(7, 2, 5))
+        assert _partition_sizes(25) == [5, 5, 5, 5, 5]
+        for n in range(6, 500):
+            sizes = _partition_sizes(n)
+            assert sum(sizes) == n
+            assert all(2 <= s <= 5 for s in sizes)
+
+
+class TestPinnedTrajectories:
+    """Exact results of fixed searches; any change to the simplex moves them."""
+
+    def test_nelder_mead_rosenbrock_2d(self):
+        res = pt.nelder_mead(rosenbrock, [-1.2, 1.0])
+        assert (res.best_f, res.evals, res.converged_by) == (
+            2.7814425492442686e-13, 216, pt.optimize.FTOL
+        )
+
+    def test_subplex_rosenbrock_10d(self):
+        cfg = pt.SubplexConfig(simplex=pt.SimplexConfig(max_evals=100_000))
+        res = pt.subplex(rosenbrock, np.zeros(10), cfg)
+        assert (res.best_f, res.evals, res.converged_by) == (
+            1.1548376314905407e-10, 19277, pt.optimize.XTOL
+        )
+
+    def test_multi_start_rosenbrock_7d(self):
+        cfg = pt.SubplexConfig(
+            simplex=pt.SimplexConfig(max_evals=5000), restarts=3, rng_seed=7
+        )
+        res = pt.multi_start(rosenbrock, lambda rng: 2.0 * rng.standard_normal(7), cfg)
+        assert (res.best_f, res.evals, res.converged_by) == (
+            0.03789738267051111, 15000, pt.optimize.MAX_EVALS
+        )
 
 
 class TestMultiStart:

@@ -70,6 +70,27 @@ class TestWeightedError:
         uniform = pt.weighted_error(rho, record, ladder_model, weighting="uniform")
         assert weighted != uniform  # sigmas vary across points
 
+    def test_bit_equal_across_record_layouts(self, ladder_model):
+        # drift synthesis, truncation and a C-ordered copy must not change
+        # how the weight sums along time round
+        rng = np.random.default_rng(0)
+        rho = pt.DensityMatrix(oracles.random_density(rng, 5))
+        record = make_record(
+            ladder_model, rho, n_samples=87, noiseless=False, repeats=25,
+            detuning_noise=TWO_PI * 1e3,
+        )
+        c_ordered = pt.MeasurementRecord(
+            times=record.times,
+            means=np.ascontiguousarray(record.means),
+            sigmas=np.ascontiguousarray(record.sigmas),
+            repeats=record.repeats,
+        )
+        errors = [
+            pt.weighted_error(rho, r, ladder_model)
+            for r in (record, pt.truncate_record(record, record.span), c_ordered)
+        ]
+        assert errors[0] == errors[1] == errors[2]
+
     def test_grid_mismatch(self, ladder_model):
         # pi * 1e-6 shares no grid step with the other times
         times = np.array([0.0, 1.0e-6, 2.0e-6, np.pi * 1e-6])
@@ -381,5 +402,5 @@ class TestSweepGamma:
     def test_negative_gamma_rejected(self, ladder, ladder_model):
         rho_true = pt.DensityMatrix.maximally_mixed(5)
         record = make_record(ladder_model, rho_true)
-        with pytest.raises(ValueError):
+        with pytest.raises(pt.ValidationError):
             pt.sweep_gamma(record, ladder, [record.span], [-10.0, 100.0])
