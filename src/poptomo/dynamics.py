@@ -42,7 +42,7 @@ TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-10
 
 # Looser bounds applied to propagated states: accumulated roundoff from
-# repeated matrix-vector products, checked before renormalization.
+# powers of the step matrix, checked before renormalization.
 EVOLVE_TRACE_ATOL = 1e-8
 EVOLVE_PSD_ATOL = 1e-8
 
@@ -54,6 +54,14 @@ def _square_complex(entries, what):
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} has non-finite entries")
     return m
+
+
+def require_finite(obj, *names):
+    """Raise ValidationError naming the first non-finite field of ``obj``."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{type(obj).__name__}.{name} must be finite, got {value!r}")
 
 
 class DensityMatrix:
@@ -127,6 +135,9 @@ class Ladder5:
 
     dim: ClassVar[int] = 5
 
+    def __post_init__(self):
+        require_finite(self, "rabi_omega", "delta1", "delta2")
+
 
 @dataclass(frozen=True, eq=False)
 class GenericHamiltonian:
@@ -180,6 +191,7 @@ class EvolutionModel:
     gamma: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "gamma")
         if self.gamma < 0.0:
             raise InvalidState(f"dephasing rate must be >= 0, got {self.gamma}")
 
@@ -263,7 +275,7 @@ def unvectorize(vec, dim):
 
 
 def evolve(rho0, prop, steps):
-    """Apply the cached step ``steps`` times: rho(steps * dt).
+    """Apply the cached step ``steps`` times, as one matrix power: rho(steps * dt).
 
     The result is re-symmetrized and trace-renormalized; drift beyond
     EVOLVE_* tolerances (checked before renormalization) raises
@@ -275,10 +287,7 @@ def evolve(rho0, prop, steps):
         raise DimensionMismatch(f"state dim {rho0.dim} != propagator dim {prop.dim}")
     if steps == 0:
         return rho0
-    v = vectorize(rho0.matrix)
-    S = prop.step_matrix
-    for _ in range(steps):
-        v = S @ v
+    v = np.linalg.matrix_power(prop.step_matrix, steps) @ vectorize(rho0.matrix)
     m = unvectorize(v, prop.dim)
     m = 0.5 * (m + m.conj().T)
     trace = m.trace().real

@@ -24,6 +24,7 @@ from .dynamics import (
     EvolutionModel,
     HamiltonianSpec,
     Ladder5,
+    require_finite,
     vectorize,
 )
 from .records import MeasurementRecord, shot_noise_floor
@@ -75,6 +76,7 @@ class ExperimentConfig:
     delta_units: str = "ordinary"
 
     def __post_init__(self):
+        require_finite(self, "gamma", "sample_interval", "detuning_noise")
         if self.sample_interval <= 0.0:
             raise ValidationError("sample_interval must be positive")
         if self.n_samples < 2:
@@ -207,6 +209,7 @@ class PulseSegment:
     gamma: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "duration", "omega", "delta1", "delta2", "gamma")
         if self.duration < 0.0:
             raise ValidationError("segment duration must be >= 0")
 

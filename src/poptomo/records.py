@@ -131,6 +131,23 @@ def save_record(record, path):
     atomic_write(sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
 
 
+def json_number(obj, key, default, kind=float):
+    """obj[key] (or the default) as a number; SchemaError names a bad field.
+
+    A JSON boolean is not a number, and an integer field rejects a
+    fractional value instead of truncating it.
+    """
+    value = obj.get(key, default)
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    what = "an integer" if kind is int else "a number"
+    raise SchemaError(key, f"expected {what}, got {value!r}")
+
+
 def _parse_float(text, line, column):
     try:
         return float(text)
@@ -183,11 +200,7 @@ def load_record(path):
                 raise ParseError(f"sidecar is not valid JSON: {exc}", line=exc.lineno, column=exc.colno) from None
         if not isinstance(sidecar, dict) or not isinstance(sidecar.get("meta", {}), dict):
             raise SchemaError("sidecar", "expected an object whose 'meta' is an object")
-        repeats = sidecar.get("repeats", 1)
-        try:
-            repeats = int(repeats)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError("repeats", f"expected an integer, got {repeats!r}") from None
+        repeats = json_number(sidecar, "repeats", 1, int)
         meta = dict(sidecar.get("meta", {}))
 
     if np.any(sigmas < 0.0):

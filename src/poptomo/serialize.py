@@ -22,7 +22,7 @@ from .experiment import (
     PulseSegment,
     basis_state_index,
 )
-from .records import atomic_write
+from .records import atomic_write, json_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,15 +38,6 @@ def _load_json(path):
     if not isinstance(obj, dict):
         raise SchemaError(str(path), "expected a JSON object")
     return obj
-
-
-def _number(obj, key, default, kind=float):
-    """obj[key] (or the default) as a number; SchemaError names a bad field."""
-    value = obj.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise SchemaError(key, f"expected a number, got {value!r}") from None
 
 
 def matrix_to_parts(matrix):
@@ -77,15 +68,12 @@ def parse_hamiltonian(obj, delta_units="ordinary"):
         raise SchemaError("hamiltonian", "expected an object with a 'type' field")
     kind = obj["type"]
     if kind == "ladder5":
-        try:
-            rabi = float(obj["rabi_hz"])
-            d1 = float(obj.get("delta1", 0.0))
-            d2 = float(obj.get("delta2", 0.0))
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError("hamiltonian", "ladder5 needs numeric rabi_hz/delta1/delta2") from None
+        rabi = json_number(obj, "rabi_hz", None)
+        d1 = json_number(obj, "delta1", 0.0)
+        d2 = json_number(obj, "delta2", 0.0)
         if "delta1_rad_s" in obj or "delta2_rad_s" in obj:
-            d1 = _number(obj, "delta1_rad_s", 0.0)
-            d2 = _number(obj, "delta2_rad_s", 0.0)
+            d1 = json_number(obj, "delta1_rad_s", 0.0)
+            d2 = json_number(obj, "delta2_rad_s", 0.0)
             return Ladder5(rabi_omega=TWO_PI * rabi, delta1=d1, delta2=d2)
         return Ladder5(
             rabi_omega=TWO_PI * rabi,
@@ -103,7 +91,7 @@ def load_model(path, delta_units=None):
     units = delta_units or obj.get("delta_units", "ordinary")
     return EvolutionModel(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
-        gamma=_number(obj, "gamma_hz", 0.0),
+        gamma=json_number(obj, "gamma_hz", 0.0),
     )
 
 
@@ -113,14 +101,14 @@ def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None)
     units = delta_units or obj.get("delta_units", "ordinary")
     cfg = ExperimentConfig(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
-        gamma=_number(obj, "gamma_hz", 0.0),
-        sample_interval=_number(obj, "sample_interval_s", 1.16e-6),
-        n_samples=_number(obj, "n_samples", 16, int),
-        repeats=_number(obj, "repeats", 5, int),
-        atoms_per_shot=_number(obj, "atoms_per_shot", 80_000, int),
-        rng_seed=int(seed) if seed is not None else _number(obj, "rng_seed", 0, int),
+        gamma=json_number(obj, "gamma_hz", 0.0),
+        sample_interval=json_number(obj, "sample_interval_s", 1.16e-6),
+        n_samples=json_number(obj, "n_samples", 16, int),
+        repeats=json_number(obj, "repeats", 5, int),
+        atoms_per_shot=json_number(obj, "atoms_per_shot", 80_000, int),
+        rng_seed=int(seed) if seed is not None else json_number(obj, "rng_seed", 0, int),
         noiseless=bool(noiseless if noiseless is not None else obj.get("noiseless", False)),
-        detuning_noise=TWO_PI * _number(obj, "detuning_noise_hz", 0.0),
+        detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
         delta_units=units,
     )
     return cfg
@@ -146,20 +134,17 @@ def parse_schedule(obj, delta_units="ordinary"):
         rho = DensityMatrix.basis_state(5, basis_state_index(initial))
     segments = []
     for i, seg in enumerate(obj.get("segments", [])):
-        try:
-            segments.append(
-                PulseSegment(
-                    duration=float(seg["duration_s"]),
-                    omega=TWO_PI * float(seg["rabi_hz"]),
-                    delta1=delta_to_angular(float(seg.get("delta1", 0.0)), delta_units),
-                    delta2=delta_to_angular(float(seg.get("delta2", 0.0)), delta_units),
-                    gamma=float(seg.get("gamma_hz", 0.0)),
-                )
+        if not isinstance(seg, dict):
+            raise SchemaError(f"segments[{i}]", "expected an object")
+        segments.append(
+            PulseSegment(
+                duration=json_number(seg, "duration_s", None),
+                omega=TWO_PI * json_number(seg, "rabi_hz", None),
+                delta1=delta_to_angular(json_number(seg, "delta1", 0.0), delta_units),
+                delta2=delta_to_angular(json_number(seg, "delta2", 0.0), delta_units),
+                gamma=json_number(seg, "gamma_hz", 0.0),
             )
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(
-                f"segments[{i}]", "needs numeric duration_s and rabi_hz"
-            ) from None
+        )
     return PreparationSchedule(initial_state=rho, segments=segments)
 
 

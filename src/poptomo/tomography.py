@@ -141,7 +141,7 @@ class _WeightedCost:
     gemv on G.view(float), divided by Tr(G) = |p|^2.
     """
 
-    __slots__ = ("dim", "weights", "rows", "targets", "buffer", "factor", "slots")
+    __slots__ = ("dim", "rows", "targets", "buffer", "factor", "slots")
 
     def __init__(self, predictor, record, weighting):
         n = predictor.dim
@@ -152,7 +152,6 @@ class _WeightedCost:
         else:
             raise ValidationError(f"unknown weighting {weighting!r}")
         self.dim = n
-        self.weights = weights
         # (time, level) row order, matching the predictor
         scale = np.sqrt(weights / weights.sum(axis=1, keepdims=True)).T.reshape(-1)
         # Re(M @ vec(G)) is conj(M) @ G as floats once M's columns are in C order
@@ -201,47 +200,6 @@ def weighted_error(rho0, record, model, *, weighting=WEIGHT_INVERSE_VARIANCE):
     return _WeightedCost(predictor, record, weighting).state_error(rho0.matrix)
 
 
-class _StartSampler:
-    """Data-informed starts first, standard normal draws afterwards."""
-
-    def __init__(self, n_params, informed=()):
-        self.n_params = n_params
-        self.informed = list(informed)
-        self.calls = 0
-
-    def __call__(self, rng):
-        self.calls += 1
-        if self.calls <= len(self.informed):
-            return self.informed[self.calls - 1]
-        return rng.standard_normal(self.n_params)
-
-
-_herm_basis_cache = {}
-
-
-def _hermitian_basis_columns(n):
-    """vec() of a real basis of Hermitian n x n matrices, as columns."""
-    cached = _herm_basis_cache.get(n)
-    if cached is None:
-        columns = []
-        for i in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, i] = 1.0
-            columns.append(E.reshape(-1, order="F"))
-        for i in range(n):
-            for j in range(i + 1, n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = E[j, i] = 1.0
-                columns.append(E.reshape(-1, order="F"))
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1j
-                E[j, i] = -1j
-                columns.append(E.reshape(-1, order="F"))
-        cached = np.column_stack(columns)
-        _herm_basis_cache[n] = cached
-    return cached
-
-
 def _params_for_state(matrix, n):
     """Cholesky parameters of a state, conditioned away from rank deficiency."""
     blended = (1.0 - 1e-9) * matrix + 1e-9 * np.eye(n) / n
@@ -250,22 +208,33 @@ def _params_for_state(matrix, n):
     return rho_to_params(DensityMatrix(blended)).values
 
 
-def _linear_inversion_start(predictor, cost, record):
+def _linear_inversion_start(predictor, record):
     """Weighted linear inversion projected onto physical states.
 
     The forward map from Hermitian coefficients to populations is
     linear, so a small lstsq gives the unconstrained optimum directly;
     clipping its eigenvalues returns it to the state manifold.  A very
     good, purely data-derived warm start for the simplex search.
+
+    The coefficients are the n diagonal entries, then Re and Im of each
+    upper entry (i, j) in row-major order; their design columns are sums
+    of the predictor's columns at the column-stacked slots i + j*n and
+    j + i*n.
     """
     n = record.dim
-    basis = _hermitian_basis_columns(n)
-    design = (predictor.matrix @ basis).real
-    scale = np.sqrt(cost.weights.T).reshape(-1)
+    M = predictor.matrix
+    rows, cols = np.triu_indices(n, 1)
+    upper, lower = rows + cols * n, cols + rows * n
+    design = np.empty((M.shape[0], n * n))
+    design[:, :n] = M[:, np.arange(n) * (n + 1)].real
+    design[:, n::2] = M[:, upper].real + M[:, lower].real
+    design[:, n + 1::2] = M[:, lower].imag - M[:, upper].imag
+    scale = np.sqrt(1.0 / np.square(record.sigmas.T)).reshape(-1)
     target = record.means.T.reshape(-1)
     coeffs = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)[0]
-    estimate = (basis @ coeffs).reshape((n, n), order="F")
-    estimate = 0.5 * (estimate + estimate.conj().T)
+    estimate = np.diag(coeffs[:n].astype(complex))
+    estimate[rows, cols] = coeffs[n::2] + 1j * coeffs[n + 1::2]
+    estimate[cols, rows] = estimate[rows, cols].conj()
     w, v = np.linalg.eigh(estimate)
     w = np.clip(w, 0.0, None)
     total = w.sum()
@@ -295,30 +264,26 @@ class ReconstructionResult:
     window: tuple
 
 
-def reconstruct(
-    record,
-    model,
-    cfg=None,
-    *,
-    weighting=WEIGHT_INVERSE_VARIANCE,
-    epsilon_ceiling=1.0,
-):
+def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
     """Reconstruct the initial density matrix from a measurement record.
 
-    Minimizes the weighted error over the Cholesky parameter space with
-    multi-start subplex; deterministic for a fixed ``cfg.rng_seed``.
-    Raises NoConvergence if even the best start ends above
-    ``epsilon_ceiling``.
+    Minimizes the inverse-variance weighted error over the Cholesky
+    parameter space with multi-start subplex, starting from the linear
+    inversion, then the diagonal guess, then standard normal draws;
+    deterministic for a fixed ``cfg.rng_seed``.  Raises NoConvergence if
+    even the best start ends above ``epsilon_ceiling``.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     _check_record_model(record, model)
     predictor = PopulationPredictor(model, record.times)
-    cost = _WeightedCost(predictor, record, weighting)
-    informed = [_diagonal_start(record)]
-    inversion = _linear_inversion_start(predictor, cost, record)
-    if inversion is not None:
-        informed.insert(0, inversion)
-    sampler = _StartSampler(model.dim * model.dim, informed)
+    cost = _WeightedCost(predictor, record, WEIGHT_INVERSE_VARIANCE)
+    starts = (_linear_inversion_start(predictor, record), _diagonal_start(record))
+    informed = iter([start for start in starts if start is not None])
+
+    def sampler(rng):
+        start = next(informed, None)
+        return start if start is not None else rng.standard_normal(model.dim**2)
+
     opt = multi_start(cost, sampler, cfg)
     rho0 = params_to_rho(StateParams(dim=model.dim, values=opt.best_x))
     epsilon = cost.state_error(rho0.matrix)
@@ -376,15 +341,7 @@ class ConvergencePoint:
     result: ReconstructionResult
 
 
-def convergence_study(
-    record,
-    model,
-    cfg=None,
-    windows=(),
-    *,
-    reference=None,
-    weighting=WEIGHT_INVERSE_VARIANCE,
-):
+def convergence_study(record, model, cfg=None, windows=(), *, reference=None):
     """Reconstruct on truncated records of increasing length.
 
     Reports 1 - F against ``reference`` when the true prepared state is
@@ -394,7 +351,7 @@ def convergence_study(
     points = []
     for window in sorted(windows):
         trimmed = truncate_record(record, window)
-        result = reconstruct(trimmed, model, cfg, weighting=weighting)
+        result = reconstruct(trimmed, model, cfg)
         infidelity = None
         if reference is not None:
             infidelity = 1.0 - uhlmann_fidelity(result.rho0, reference)
@@ -419,15 +376,7 @@ class GammaSweepResult:
     gamma_opt: np.ndarray
 
 
-def sweep_gamma(
-    record,
-    hamiltonian,
-    windows,
-    gammas,
-    cfg=None,
-    *,
-    weighting=WEIGHT_INVERSE_VARIANCE,
-):
+def sweep_gamma(record, hamiltonian, windows, gammas, cfg=None):
     """Reconstruct per (window, gamma) cell and find the best rate per window.
 
     Each cell fixes gamma, reconstructs the state on the truncated
@@ -448,7 +397,7 @@ def sweep_gamma(
         for gi, gamma in enumerate(gammas):
             model = EvolutionModel(hamiltonian=hamiltonian, gamma=float(gamma))
             try:
-                result = reconstruct(trimmed, model, cfg, weighting=weighting)
+                result = reconstruct(trimmed, model, cfg)
             except PoptomoError:
                 continue
             surface[wi, gi] = result.epsilon

@@ -3,10 +3,12 @@
 Everything here is deliberately written from the defining formulas
 (projector sums, explicit commutators, fixed-step RK4, closed-form
 solutions) and never touches the package's vectorized-propagator code
-path, so agreement between the two is meaningful.  The one exception is
-``reference_record``: it pins the record sampler's draw order and memory
-layout, not its physics, so it propagates with the package's
-``make_propagator``.
+path, so agreement between the two is meaningful.  The two exceptions
+pin arithmetic, not physics: ``reference_record`` pins the record
+sampler's draw order and memory layout, so it propagates with the
+package's ``make_propagator``; ``linear_inversion_reference`` pins the
+inversion start's design, so it reads the package's predictor matrix
+and ends in the package's parameter map.
 """
 
 import numpy as np
@@ -170,3 +172,52 @@ def reference_record(rho, cfg):
                 means[:, j] = shots.mean(axis=0)
                 sigmas[:, j] = shots.std(axis=0, ddof=1) if repeats > 1 else 0.0
     return means, np.maximum(sigmas, pt.shot_noise_floor(repeats, atoms))
+
+
+def hermitian_basis_columns(n):
+    """vec() of a real basis of Hermitian n x n matrices, as columns.
+
+    Order: E_ii for each i, then for each upper pair (i, j) in row-major
+    order the symmetric E_ij + E_ji and the antisymmetric i(E_ij - E_ji).
+    """
+    columns = []
+    for i in range(n):
+        E = np.zeros((n, n), dtype=complex)
+        E[i, i] = 1.0
+        columns.append(E.reshape(-1, order="F"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            E = np.zeros((n, n), dtype=complex)
+            E[i, j] = E[j, i] = 1.0
+            columns.append(E.reshape(-1, order="F"))
+            E = np.zeros((n, n), dtype=complex)
+            E[i, j] = 1j
+            E[j, i] = -1j
+            columns.append(E.reshape(-1, order="F"))
+    return np.column_stack(columns)
+
+
+def linear_inversion_reference(predictor, record):
+    """Inverse-variance weighted lstsq start through an explicit Hermitian basis.
+
+    Multiplies the basis into the predictor for the design, expands the
+    coefficients back through it and symmetrizes, then clips and maps the
+    state to parameters as ``tomography._linear_inversion_start`` does.
+    """
+    from poptomo.tomography import _params_for_state
+
+    n = record.dim
+    basis = hermitian_basis_columns(n)
+    design = (predictor.matrix @ basis).real
+    scale = np.sqrt((1.0 / np.square(record.sigmas)).T).reshape(-1)
+    target = record.means.T.reshape(-1)
+    coeffs = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)[0]
+    estimate = (basis @ coeffs).reshape((n, n), order="F")
+    estimate = 0.5 * (estimate + estimate.conj().T)
+    w, v = np.linalg.eigh(estimate)
+    w = np.clip(w, 0.0, None)
+    total = w.sum()
+    if total <= 0.0:
+        return None
+    physical = (v * (w / total)) @ v.conj().T
+    return _params_for_state(physical, n)

@@ -267,6 +267,7 @@ MALFORMED_INPUTS = {
     ),
     "model_not_an_object": ("model", lambda m: [m]),
     "sidecar_meta_string": ("sidecar", lambda s: {**s, "meta": "abc"}),
+    "sidecar_repeats_fractional": ("sidecar", lambda s: {**s, "repeats": 2.9}),
 }
 
 
@@ -290,6 +291,20 @@ def test_malformed_input_exits_2(workspace, tmp_path, case):
         "--max-evals", "200",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("field, value", [("n_samples", 16.7), ("repeats", True)])
+def test_non_integral_config_count_exits_2(workspace, field, value):
+    config = json.loads(workspace["config"].read_text())
+    workspace["config"].write_text(json.dumps({**config, field: value}))
+    code = run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    )
+    assert code == 2
+    assert not workspace["record"].exists()
 
 
 def test_non_finite_state_exits_2(tmp_path):

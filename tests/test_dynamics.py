@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,22 @@ class TestBuildHamiltonian:
     def test_generic_rejects_non_hermitian(self):
         with pytest.raises(pt.NonHermitianInput):
             pt.GenericHamiltonian(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
+
+
+NON_FINITE_DRIVE_FIELDS = [
+    (field, value)
+    for field in ("rabi_omega", "delta1", "delta2", "gamma")
+    for value in (math.inf, -math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("field, value", NON_FINITE_DRIVE_FIELDS)
+def test_non_finite_drive_field_rejected(ladder, field, value):
+    with pytest.raises(pt.ValidationError, match=field):
+        if field == "gamma":
+            pt.EvolutionModel(hamiltonian=ladder, gamma=value)
+        else:
+            dataclasses.replace(ladder, **{field: value})
 
 
 class TestLindbladRhs:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,26 @@ class TestSynthesizeRecord:
             pt.ExperimentConfig(hamiltonian=ladder, repeats=0)
         with pytest.raises(pt.ValidationError):
             pt.ExperimentConfig(hamiltonian=ladder, delta_units="radians")
+
+
+NON_FINITE_FIELDS = [
+    (kind, field, value)
+    for kind, fields in (
+        ("config", ("gamma", "sample_interval", "detuning_noise")),
+        ("segment", ("duration", "omega", "delta1", "delta2", "gamma")),
+    )
+    for field in fields
+    for value in (math.inf, math.nan)
+]
+
+
+@pytest.mark.parametrize("kind, field, value", NON_FINITE_FIELDS)
+def test_non_finite_field_rejected(ladder, kind, field, value):
+    with pytest.raises(pt.ValidationError, match=field):
+        if kind == "config":
+            pt.ExperimentConfig(hamiltonian=ladder, **{field: value})
+        else:
+            pt.PulseSegment(**{"duration": 1e-6, "omega": 1.0, field: value})
 
 
 SAMPLER_CASES = {

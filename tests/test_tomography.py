@@ -159,6 +159,37 @@ class TestCostKernel:
             cost(np.zeros(9))
 
 
+INVERSION_CASES = [("ladder", 5, kind) for kind in ("plain", "noiseless", "drift")] + [
+    ("generic", dim, kind) for dim in range(1, 7) for kind in ("plain", "noiseless")
+]
+
+
+@pytest.mark.parametrize("drive, dim, kind", INVERSION_CASES)
+def test_inversion_start_matches_explicit_basis(ladder, drive, dim, kind):
+    """The design read off the predictor's columns is the explicit basis product, bit for bit."""
+    rng = np.random.default_rng(dim)
+    if drive == "ladder":
+        hamiltonian = ladder
+    else:
+        hamiltonian = pt.GenericHamiltonian(oracles.random_hermitian(rng, dim, TWO_PI * 40e3))
+    cfg = pt.ExperimentConfig(
+        hamiltonian=hamiltonian,
+        gamma=375.0,
+        n_samples=23,
+        repeats=3,
+        rng_seed=dim,
+        noiseless=kind == "noiseless",
+        detuning_noise=TWO_PI * 5e3 if kind == "drift" else 0.0,
+    )
+    record = pt.synthesize_record(pt.DensityMatrix(oracles.random_density(rng, dim)), cfg)
+    model = pt.EvolutionModel(hamiltonian=hamiltonian, gamma=375.0)
+    predictor = pt.PopulationPredictor(model, record.times)
+    got = tomography._linear_inversion_start(predictor, record)
+    want = oracles.linear_inversion_reference(predictor, record)
+    assert got is not None and want is not None
+    assert got.tobytes() == want.tobytes()
+
+
 class TestInferGridStep:
     def test_uniform_grid(self):
         times = np.arange(16) * 1.16e-6
@@ -265,6 +296,19 @@ class TestReconstruct:
         a = pt.subplex(cost, start, cfg)
         b = pt.subplex(cost, 2.0 * start, cfg)
         assert a.best_f == b.best_f
+
+    def test_pinned_pi_half_reconstruction(self, ladder_model, pi_half_state):
+        # every bit of a small search, so that a rewrite of the start-up
+        # code or the cost that moves the search at all shows here
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
+        result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=2))
+        assert repr(result.epsilon) == "0.00035226907343965475"
+        assert result.opt.evals == 6_000
+        assert result.opt.converged_by == "max_evals"
+        assert [repr(float(f)) for f in result.opt.per_restart_f] == [
+            "0.00035226907343962986",
+            "0.016819120343108285",
+        ]
 
     def test_no_convergence_ceiling(self, ladder_model):
         rng = np.random.default_rng(11)
