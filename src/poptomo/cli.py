@@ -5,7 +5,6 @@ Exit codes are stable for scripting: 0 success, 2 validation failure,
 """
 
 import argparse
-import json
 import math
 import sys
 
@@ -15,7 +14,7 @@ from .errors import NumericalError, ValidationError
 from .dynamics import uhlmann_fidelity
 from .experiment import synthesize_record
 from .optimize import SimplexConfig, SubplexConfig
-from .records import atomic_write, load_record, save_record, sidecar_path
+from .records import load_record, save_record, sidecar_path, write_csv, write_json
 from .serialize import (
     load_experiment_config,
     load_model,
@@ -111,20 +110,19 @@ def cmd_sweep_gamma(args):
     windows = _parse_range(args.windows)
     gammas = _parse_range(args.gammas)
     sweep = sweep_gamma(record, model.hamiltonian, windows, gammas, _subplex_config(args))
-    lines = ["window_s,gamma_hz,epsilon"]
-    # plain floats: numpy 2 reprs a scalar as "np.float64(...)"
-    surface = sweep.error_surface.tolist()
-    for wi, window in enumerate(sweep.windows.tolist()):
-        for gi, gamma in enumerate(sweep.gammas.tolist()):
-            lines.append(f"{window!r},{gamma!r},{surface[wi][gi]!r}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = [
+        (window, gamma, epsilon)
+        for window, errors in zip(sweep.windows, sweep.error_surface)
+        for gamma, epsilon in zip(sweep.gammas, errors)
+    ]
+    write_csv(args.out, ["window_s", "gamma_hz", "epsilon"], rows)
     sidecar = {
         "windows_s": sweep.windows.tolist(),
         "gammas_hz": sweep.gammas.tolist(),
         # NaN (every cell of the window failed) is not JSON: write null
         "gamma_opt_hz": [g if math.isfinite(g) else None for g in sweep.gamma_opt.tolist()],
     }
-    atomic_write(sidecar_path(args.out), json.dumps(sidecar, indent=2) + "\n")
+    write_json(sidecar_path(args.out), sidecar)
     print(
         "gamma_opt per window: "
         + ", ".join(
@@ -155,11 +153,8 @@ def cmd_converge(args):
     points = convergence_study(
         record, model, _subplex_config(args), windows, reference=reference
     )
-    lines = ["window_s,epsilon,one_minus_fidelity"]
-    for p in points:
-        infid = "" if p.infidelity is None else repr(p.infidelity)
-        lines.append(f"{p.window!r},{p.epsilon!r},{infid}")
-    atomic_write(args.out, "\n".join(lines) + "\n")
+    rows = [(p.window, p.epsilon, p.infidelity) for p in points]
+    write_csv(args.out, ["window_s", "epsilon", "one_minus_fidelity"], rows)
     print(f"wrote {len(points)} windows to {args.out}")
     return 0
 

@@ -27,7 +27,7 @@ from .dynamics import (
     require_finite,
     vectorize,
 )
-from .records import MeasurementRecord, shot_noise_floor
+from .records import MeasurementRecord, matrix_to_parts, shot_noise_floor
 from .tomography import PopulationPredictor, population_rows, prepare_pulse_state
 
 DELTA_UNITS = ("ordinary", "angular")
@@ -156,13 +156,7 @@ def synthesize_record(rho_true, cfg):
             means = means / means.sum(axis=0, keepdims=True)
 
     sigmas = np.maximum(sigmas, floor)
-    meta = {
-        "config": config_to_dict(cfg),
-        "true_state": {
-            "real": rho_true.matrix.real.tolist(),
-            "imag": rho_true.matrix.imag.tolist(),
-        },
-    }
+    meta = {"config": config_to_dict(cfg), "true_state": matrix_to_parts(rho_true.matrix)}
     return MeasurementRecord(
         times=times, means=means, sigmas=sigmas, repeats=cfg.repeats, meta=meta
     )
@@ -179,11 +173,7 @@ def config_to_dict(cfg):
             "delta2_rad_s": h.delta2,
         }
     else:
-        ham = {
-            "type": "generic",
-            "real": h.entries.real.tolist(),
-            "imag": h.entries.imag.tolist(),
-        }
+        ham = {"type": "generic", **matrix_to_parts(h.entries)}
     return {
         "hamiltonian": ham,
         "gamma_hz": cfg.gamma,

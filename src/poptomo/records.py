@@ -1,4 +1,4 @@
-"""Measurement records: validated population time series plus file I/O.
+"""Measurement records, and the one file layer every poptomo file goes through.
 
 A record holds the mean relative populations ``means[i, j]`` (sublevel i,
 time j) and their shot-to-shot standard deviations, as obtained from
@@ -7,6 +7,12 @@ repeated destructive measurements.  On disk a record is a plain CSV
 (``<stem>.meta.json``) carrying repeats, generator configuration and any
 ingestion warnings; the CSV itself is deterministic byte-for-byte for a
 fixed config and seed.
+
+Every JSON file (records' sidecars, states, models, configs, schedules,
+results) is read by ``read_json`` and written by ``write_json``; every CSV
+by ``write_csv``.  Fields are read through ``json_number`` and
+``json_field``, so a value of the wrong JSON type is a ``SchemaError``
+naming the field.
 """
 
 import csv
@@ -38,11 +44,12 @@ def shot_noise_floor(repeats=None, atoms_per_shot=None):
     """
     floor = SIGMA_ABS_FLOOR
     if repeats and atoms_per_shot:
-        floor = max(floor, 0.5 / math.sqrt(repeats * atoms_per_shot))
+        # a float product: a huge count gives an infinite root, not OverflowError
+        floor = max(floor, 0.5 / math.sqrt(float(repeats) * atoms_per_shot))
     return floor
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MeasurementRecord:
     """Times, mean populations and standard deviations for one experiment."""
 
@@ -76,9 +83,9 @@ class MeasurementRecord:
             raise SchemaError("sigmas", "must be strictly positive and finite")
         if self.repeats < 1:
             raise SchemaError("repeats", "must be at least 1")
-        self.times = times
-        self.means = means
-        self.sigmas = sigmas
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "sigmas", sigmas)
 
     @property
     def dim(self):
@@ -93,11 +100,9 @@ class MeasurementRecord:
         return float(self.times[-1])
 
 
-def floor_sigmas(sigmas, repeats=None, atoms_per_shot=None):
-    """Apply the shot-noise floor; returns (floored, n_raised)."""
-    floor = shot_noise_floor(repeats, atoms_per_shot)
-    raised = int(np.count_nonzero(sigmas < floor))
-    return np.maximum(sigmas, floor), raised
+def record_header(n):
+    """CSV header of an n-level record."""
+    return ["time_s"] + [f"p_{i + 1}" for i in range(n)] + [f"sigma_{i + 1}" for i in range(n)]
 
 
 def sidecar_path(path):
@@ -114,25 +119,49 @@ def atomic_write(path, text):
     os.replace(tmp, path)
 
 
+def write_json(path, obj):
+    atomic_write(path, json.dumps(obj, indent=2) + "\n")
+
+
+def write_csv(path, header, rows):
+    """One line per row: ``repr(float(v))`` per value, an empty cell for None.
+
+    ``float`` first: numpy 2 reprs a scalar as ``np.float64(...)``.
+    """
+    lines = [",".join(header)]
+    lines += [",".join("" if v is None else repr(float(v)) for v in row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def read_json(path):
+    """Parse a JSON file whose top level must be an object."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
+            ) from None
+    if not isinstance(obj, dict):
+        raise SchemaError(str(path), "expected a JSON object")
+    return obj
+
+
+def matrix_to_parts(matrix):
+    """A complex matrix as JSON: separate real and imag nested lists."""
+    m = np.asarray(matrix)
+    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
+
+
 def save_record(record, path):
     """Write the CSV and its JSON sidecar; floats round-trip exactly."""
-    n = record.dim
-    header = ["time_s"]
-    header += [f"p_{i + 1}" for i in range(n)]
-    header += [f"sigma_{i + 1}" for i in range(n)]
-    lines = [",".join(header)]
-    for j in range(record.n_times):
-        row = [repr(float(record.times[j]))]
-        row += [repr(float(v)) for v in record.means[:, j]]
-        row += [repr(float(v)) for v in record.sigmas[:, j]]
-        lines.append(",".join(row))
-    atomic_write(path, "\n".join(lines) + "\n")
-    sidecar = {"dim": n, "repeats": record.repeats, "meta": record.meta}
-    atomic_write(sidecar_path(path), json.dumps(sidecar, indent=2) + "\n")
+    table = np.vstack([record.times, record.means, record.sigmas]).T
+    write_csv(path, record_header(record.dim), table.tolist())
+    write_json(sidecar_path(path), {"dim": record.dim, "repeats": record.repeats, "meta": record.meta})
 
 
 def json_number(obj, key, default, kind=float):
-    """obj[key] (or the default) as a number; SchemaError names a bad field.
+    """obj[key] (or the default) as a finite number; SchemaError names a bad field.
 
     A JSON boolean is not a number, and an integer field rejects a
     fractional value instead of truncating it.
@@ -141,11 +170,24 @@ def json_number(obj, key, default, kind=float):
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     if not isinstance(value, bool) and not fractional:
         try:
-            return kind(value)
+            number = kind(value)
+            if math.isfinite(number):
+                return number
         except (TypeError, ValueError, OverflowError):
             pass
     what = "an integer" if kind is int else "a number"
     raise SchemaError(key, f"expected {what}, got {value!r}")
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", bool: "a boolean"}
+
+
+def json_field(obj, key, default, kind):
+    """obj[key] (or the default), which must be a JSON object, list or boolean."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise SchemaError(key, f"expected {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _parse_float(text, line, column):
@@ -162,19 +204,20 @@ def load_record(path):
     recorded in the metadata; negative sigmas are a schema error.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise ParseError("empty record file", line=1)
     header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "time_s" or (len(header) - 1) % 2 != 0:
-        raise ParseError(
-            "header must be time_s, p_1..p_n, sigma_1..sigma_n", line=1
-        )
     n = (len(header) - 1) // 2
-    expected = ["time_s"] + [f"p_{i + 1}" for i in range(n)] + [f"sigma_{i + 1}" for i in range(n)]
-    if header != expected:
-        raise ParseError(f"unexpected header {header!r}", line=1)
+    if header != record_header(n):
+        raise ParseError(
+            f"header must be time_s, p_1..p_n, sigma_1..sigma_n, got {header!r}", line=1
+        )
     times, means, sigmas = [], [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -193,24 +236,23 @@ def load_record(path):
     meta = {}
     side = sidecar_path(path)
     if os.path.exists(side):
-        with open(side, "r", encoding="utf-8") as fh:
-            try:
-                sidecar = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"sidecar is not valid JSON: {exc}", line=exc.lineno, column=exc.colno) from None
-        if not isinstance(sidecar, dict) or not isinstance(sidecar.get("meta", {}), dict):
-            raise SchemaError("sidecar", "expected an object whose 'meta' is an object")
+        sidecar = read_json(side)
         repeats = json_number(sidecar, "repeats", 1, int)
-        meta = dict(sidecar.get("meta", {}))
+        meta = dict(json_field(sidecar, "meta", {}, dict))
+    warnings = json_field(meta, "warnings", [], list)
+    config = json_field(meta, "config", {}, dict)
+    atoms = json_number(config, "atoms_per_shot", None, int) if "atoms_per_shot" in config else None
+    if repeats < 1 or (atoms is not None and atoms < 1):
+        raise SchemaError("sidecar", "repeats and atoms_per_shot must be at least 1")
 
     if np.any(sigmas < 0.0):
         raise SchemaError("sigmas", "negative standard deviation")
-    atoms = meta.get("config", {}).get("atoms_per_shot")
-    floored, raised = floor_sigmas(sigmas, repeats, atoms)
+    floor = shot_noise_floor(repeats, atoms)
+    raised = int(np.count_nonzero(sigmas < floor))
     if raised:
         message = f"{raised} sigma entries raised to the shot-noise floor"
         log.warning("%s: %s", path, message)
-        meta.setdefault("warnings", []).append(message)
+        meta["warnings"] = warnings + [message]
     return MeasurementRecord(
-        times=times, means=means, sigmas=floored, repeats=repeats, meta=meta
+        times=times, means=means, sigmas=np.maximum(sigmas, floor), repeats=repeats, meta=meta
     )

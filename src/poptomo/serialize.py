@@ -8,12 +8,11 @@ in 1/s (never multiplied by 2*pi), and ``delta1``/``delta2`` follow the
 stored as separate real/imag nested lists.
 """
 
-import json
 import math
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 from .dynamics import DensityMatrix, EvolutionModel, GenericHamiltonian, Ladder5
 from .experiment import (
     DELTA_UNITS,
@@ -21,28 +20,11 @@ from .experiment import (
     PreparationSchedule,
     PulseSegment,
     basis_state_index,
+    run_preparation,
 )
-from .records import atomic_write, json_number
+from .records import json_field, json_number, matrix_to_parts, read_json, write_json
 
 TWO_PI = 2.0 * math.pi
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
-            ) from None
-    if not isinstance(obj, dict):
-        raise SchemaError(str(path), "expected a JSON object")
-    return obj
-
-
-def matrix_to_parts(matrix):
-    m = np.asarray(matrix)
-    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
 def parts_to_matrix(obj, what):
@@ -87,7 +69,7 @@ def parse_hamiltonian(obj, delta_units="ordinary"):
 
 def load_model(path, delta_units=None):
     """EvolutionModel from {hamiltonian, gamma_hz[, delta_units]}."""
-    obj = _load_json(path)
+    obj = read_json(path)
     units = delta_units or obj.get("delta_units", "ordinary")
     return EvolutionModel(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
@@ -97,7 +79,7 @@ def load_model(path, delta_units=None):
 
 def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None):
     """ExperimentConfig from JSON with optional CLI overrides."""
-    obj = _load_json(path)
+    obj = read_json(path)
     units = delta_units or obj.get("delta_units", "ordinary")
     cfg = ExperimentConfig(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
@@ -107,21 +89,15 @@ def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None)
         repeats=json_number(obj, "repeats", 5, int),
         atoms_per_shot=json_number(obj, "atoms_per_shot", 80_000, int),
         rng_seed=int(seed) if seed is not None else json_number(obj, "rng_seed", 0, int),
-        noiseless=bool(noiseless if noiseless is not None else obj.get("noiseless", False)),
+        noiseless=json_field(obj, "noiseless", False, bool) if noiseless is None else bool(noiseless),
         detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
         delta_units=units,
     )
     return cfg
 
 
-def load_state(path):
-    obj = _load_json(path)
-    return DensityMatrix(parts_to_matrix(obj, "state"))
-
-
 def save_state(rho, path):
-    payload = {"dim": rho.dim, **matrix_to_parts(rho.matrix)}
-    atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"dim": rho.dim, **matrix_to_parts(rho.matrix)})
 
 
 def parse_schedule(obj, delta_units="ordinary"):
@@ -133,7 +109,7 @@ def parse_schedule(obj, delta_units="ordinary"):
     else:
         rho = DensityMatrix.basis_state(5, basis_state_index(initial))
     segments = []
-    for i, seg in enumerate(obj.get("segments", [])):
+    for i, seg in enumerate(json_field(obj, "segments", [], list)):
         if not isinstance(seg, dict):
             raise SchemaError(f"segments[{i}]", "expected an object")
         segments.append(
@@ -148,25 +124,17 @@ def parse_schedule(obj, delta_units="ordinary"):
     return PreparationSchedule(initial_state=rho, segments=segments)
 
 
-def load_schedule(path, delta_units=None):
-    obj = _load_json(path)
-    units = delta_units or obj.get("delta_units", "ordinary")
-    return parse_schedule(obj, units)
-
-
 def load_state_or_schedule(path, delta_units=None):
     """Accept a state file, a reconstruction result, or a schedule.
 
     Schedules are run through their preparation first; result files
     contribute their reconstructed state.
     """
-    from .experiment import run_preparation
-
-    obj = _load_json(path)
-    if isinstance(obj, dict) and ("segments" in obj or "initial_state" in obj):
+    obj = read_json(path)
+    if "segments" in obj or "initial_state" in obj:
         units = delta_units or obj.get("delta_units", "ordinary")
         return run_preparation(parse_schedule(obj, units))
-    if isinstance(obj, dict) and "rho0" in obj:
+    if "rho0" in obj:
         return DensityMatrix(parts_to_matrix(obj["rho0"], "rho0"))
     return DensityMatrix(parts_to_matrix(obj, "state"))
 
@@ -187,4 +155,4 @@ def save_reconstruction(result, path, *, fidelity=None):
     }
     if fidelity is not None:
         payload["fidelity"] = fidelity
-    atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload)

@@ -135,6 +135,31 @@ def test_converge_writes_csv(workspace, tmp_path):
     assert float(last[2]) < 0.02
 
 
+def test_converge_without_reference_leaves_third_cell_empty(workspace, tmp_path):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+        "--noiseless",
+    ) == 0
+    out = tmp_path / "conv.csv"
+    code = run_cli(
+        "converge",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--windows", "5.8e-6:11.6e-6:2",
+        "--out", out,
+        "--restarts", "1",
+        "--max-evals", "500",
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "window_s,epsilon,one_minus_fidelity"
+    assert len(lines) == 3
+    assert all(line.count(",") == 2 and line.endswith(",") for line in lines[1:])
+
+
 def test_sweep_gamma_outputs(workspace, tmp_path):
     assert run_cli(
         "simulate",
@@ -259,6 +284,13 @@ def test_bad_range_syntax_exits_2(workspace, tmp_path):
     assert code == 2
 
 
+def _with_atoms(value):
+    """Sidecar corruption: meta.config.atoms_per_shot set to value."""
+    def corrupt(s):
+        return {**s, "meta": {**s["meta"], "config": {**s["meta"]["config"], "atoms_per_shot": value}}}
+    return corrupt
+
+
 MALFORMED_INPUTS = {
     "model_gamma_list": ("model", lambda m: {**m, "gamma_hz": [1]}),
     "model_gamma_nan": ("model", lambda m: {**m, "gamma_hz": float("nan")}),
@@ -268,6 +300,10 @@ MALFORMED_INPUTS = {
     "model_not_an_object": ("model", lambda m: [m]),
     "sidecar_meta_string": ("sidecar", lambda s: {**s, "meta": "abc"}),
     "sidecar_repeats_fractional": ("sidecar", lambda s: {**s, "repeats": 2.9}),
+    "sidecar_config_string": ("sidecar", lambda s: {**s, "meta": {**s["meta"], "config": "abc"}}),
+    "sidecar_atoms_string": ("sidecar", _with_atoms("abc")),
+    "sidecar_atoms_bool": ("sidecar", _with_atoms(True)),
+    "sidecar_atoms_fractional": ("sidecar", _with_atoms(2.5)),
 }
 
 
@@ -291,6 +327,49 @@ def test_malformed_input_exits_2(workspace, tmp_path, case):
         "--max-evals", "200",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("warnings", ["x", 3])
+def test_sidecar_warnings_not_a_list_exits_2(workspace, tmp_path, warnings):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    # a zero sigma makes the loader append a floor warning
+    header, first, *rest = workspace["record"].read_text().splitlines()
+    first = first.rsplit(",", 1)[0] + ",0.0"
+    workspace["record"].write_text("\n".join([header, first, *rest]) + "\n")
+    side = tmp_path / "rec.meta.json"
+    sidecar = json.loads(side.read_text())
+    side.write_text(json.dumps({**sidecar, "meta": {**sidecar["meta"], "warnings": warnings}}))
+    code = run_cli(
+        "reconstruct",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--out", tmp_path / "r.json",
+        "--restarts", "1",
+        "--max-evals", "200",
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "which, field, value",
+    [("schedule", "segments", 5), ("config", "noiseless", "false"), ("config", "noiseless", "no")],
+)
+def test_mistyped_simulate_input_exits_2(workspace, which, field, value):
+    obj = json.loads(workspace[which].read_text())
+    workspace[which].write_text(json.dumps({**obj, field: value}))
+    code = run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    )
+    assert code == 2
+    assert not workspace["record"].exists()
 
 
 @pytest.mark.parametrize("field, value", [("n_samples", 16.7), ("repeats", True)])

@@ -1,5 +1,12 @@
+import dataclasses
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import poptomo as pt
 import oracles
@@ -47,6 +54,11 @@ class TestValidation:
                 sigmas=np.full((2, 4), 0.01),
             )
 
+    def test_record_is_frozen(self):
+        record = simple_record()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.means = np.zeros((5, 6))
+
     def test_bad_repeats(self):
         with pytest.raises(pt.SchemaError, match="repeats"):
             pt.MeasurementRecord(
@@ -80,6 +92,110 @@ class TestRoundTrip:
         path = tmp_path / "rec.csv"
         pt.save_record(record, path)
         assert (tmp_path / "rec.meta.json").exists()
+
+    def test_writer_text_pinned(self, tmp_path):
+        record = pt.MeasurementRecord(
+            times=[0.0, 1e-6],
+            means=[[0.25, 0.5], [0.75, 0.5]],
+            sigmas=[[0.01, 0.02], [0.01, 0.02]],
+            repeats=3,
+            meta={"note": "x", "warnings": []},
+        )
+        path = tmp_path / "rec.csv"
+        pt.save_record(record, path)
+        assert path.read_text() == (
+            "time_s,p_1,p_2,sigma_1,sigma_2\n"
+            "0.0,0.25,0.75,0.01,0.01\n"
+            "1e-06,0.5,0.5,0.02,0.02\n"
+        )
+        assert (tmp_path / "rec.meta.json").read_text() == (
+            '{\n  "dim": 2,\n  "repeats": 3,\n  "meta": {\n'
+            '    "note": "x",\n    "warnings": []\n  }\n}\n'
+        )
+
+
+@st.composite
+def valid_records(draw):
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 40))
+    steps = draw(arrays(float, n, elements=st.floats(1e-9, 1e-5)))
+    times = draw(st.floats(0.0, 1e-3)) + np.cumsum(steps) - steps[0]
+    weights = draw(arrays(float, (dim, n), elements=st.floats(1e-3, 1.0)))
+    # sigmas at or above the absolute floor, so loading leaves them alone
+    sigmas = draw(arrays(float, (dim, n), elements=st.floats(pt.shot_noise_floor(), 0.5)))
+    meta = draw(st.fixed_dictionaries({}, optional={
+        "note": st.text(max_size=8),
+        "warnings": st.lists(st.text(max_size=8), max_size=2),
+    }))
+    return pt.MeasurementRecord(
+        times=times,
+        means=weights / weights.sum(axis=0),
+        sigmas=sigmas,
+        repeats=draw(st.integers(1, 5)),
+        meta=meta,
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(valid_records())
+def test_round_trip_property(record):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.csv"), Path(tmp, "b.csv")
+        pt.save_record(record, first)
+        back = pt.load_record(first)
+        pt.save_record(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert Path(tmp, "a.meta.json").read_bytes() == Path(tmp, "b.meta.json").read_bytes()
+    for name in ("times", "means", "sigmas"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(record, name))
+    assert back.repeats == record.repeats and back.meta == record.meta
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+SIDECAR_SLOTS = [
+    ("repeats",),
+    ("meta",),
+    ("meta", "config"),
+    ("meta", "config", "atoms_per_shot"),
+    ("meta", "warnings"),
+]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    slot=st.sampled_from(SIDECAR_SLOTS),
+    value=JSON_VALUES,
+    zero_sigma=st.booleans(),
+    cell=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 4), st.text(max_size=8)),
+)
+def test_malformed_input_property(slot, value, zero_sigma, cell):
+    """Any JSON value in a sidecar field, or any text in a CSV cell, loads
+    or raises ParseError/SchemaError; never another exception."""
+    rows = [
+        ["time_s", "p_1", "p_2", "sigma_1", "sigma_2"],
+        ["0.0", "0.5", "0.5", "0.0" if zero_sigma else "0.01", "0.01"],
+        ["1e-06", "0.25", "0.75", "0.01", "0.01"],
+    ]
+    if cell is not None:
+        row, col, text = cell
+        rows[row][col] = text
+    sidecar = {"dim": 2, "repeats": 3, "meta": {"config": {"atoms_per_shot": 1000}, "warnings": []}}
+    target = sidecar
+    for key in slot[:-1]:
+        target = target[key]
+    target[slot[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "rec.csv")
+        path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+        Path(tmp, "rec.meta.json").write_text(json.dumps(sidecar))
+        try:
+            pt.load_record(path)
+        except (pt.ParseError, pt.SchemaError):
+            pass
 
 
 class TestLoader:
@@ -129,6 +245,12 @@ class TestLoader:
         path = tmp_path / "h.csv"
         path.write_text("when,p_1,sigma_1\n0.0,1.0,0.01\n")
         with pytest.raises(pt.ParseError):
+            pt.load_record(path)
+
+    def test_oversized_cell(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("time_s,p_1,sigma_1\n" + "1" * 200_000 + ",1.0,0.01\n")
+        with pytest.raises(pt.ParseError, match="line"):
             pt.load_record(path)
 
     def test_ragged_row(self, tmp_path):
