@@ -34,8 +34,8 @@ def _parse_range(text):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"bad range {text!r}") from None
-    if count < 1:
-        raise ValidationError("range count must be >= 1")
+    if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"range {text!r} needs a finite start and stop and a count >= 1")
     return np.linspace(start, stop, count)
 
 

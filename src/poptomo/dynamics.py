@@ -11,19 +11,19 @@ where the dissipator is the projector sum ``sum_j gamma*(-{P_j, rho}
 populations are untouched and every coherence decays as exp(-2*gamma*t).
 
 Propagation uses the exact exponential of the vectorized generator
-(column-stacking convention, so ``L = -i(I (x) H - H^T (x) I) + D``),
-cached per time step so that sweeps and optimizer inner loops pay one
-``expm`` per grid, not per evaluation.  ``tomography.population_rows``
-turns one cached step into the population rows of a whole grid; the
-population predictor and the drifting-detuning record synthesis both
-go through it.
+(column-stacking convention, so ``L = -i(I (x) H - H^T (x) I) + D``).
+``make_propagator`` holds the only ``expm`` and returns the step
+exp(L*dt) itself, built once per grid so optimizer inner loops never
+pay for it.  The population predictor (prefix products over its grid),
+``evolve`` (a matrix power) and the drifting-detuning record synthesis
+(one step per shot) all propagate through it.
 
 Basis ordering for the built-in five-level ladder is m_F = +2 ... -2,
 i.e. index 0 is the stretched m_F = +2 sublevel.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
@@ -95,8 +95,8 @@ class DensityMatrix:
     @classmethod
     def basis_state(cls, dim, index):
         """Pure state |index><index| in the fixed sublevel basis."""
-        if not 0 <= index < dim:
-            raise DimensionMismatch(f"basis index {index} out of range for dim {dim}")
+        if isinstance(index, (bool, np.bool_)) or not 0 <= index < dim:
+            raise DimensionMismatch(f"basis index must be an integer in [0, {dim}), got {index!r}")
         m = np.zeros((dim, dim), dtype=complex)
         m[index, index] = 1.0
         return cls(m)
@@ -236,33 +236,19 @@ def liouvillian_matrix(model):
     return L
 
 
-@dataclass(frozen=True, eq=False)
-class Propagator:
-    """One cached time step exp(L*dt) of the vectorized generator."""
-
-    model: EvolutionModel
-    dt: float
-    step_matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self):
-        return self.model.dim
-
-
 def make_propagator(model, dt):
-    """Build the cached step exp(L*dt); reusable over a uniform grid."""
+    """The read-only n^2 x n^2 step exp(L*dt); reusable over a uniform grid."""
     if dt < 0.0:
         raise InvalidState(f"time step must be >= 0, got {dt}")
-    n = model.dim
     if dt == 0.0:
-        step = np.eye(n * n, dtype=complex)
+        step = np.eye(model.dim**2, dtype=complex)
     else:
         generator = liouvillian_matrix(model) * dt
         if not np.all(np.isfinite(generator)):
             raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
         step = expm(generator)
     step.setflags(write=False)
-    return Propagator(model=model, dt=dt, step_matrix=step)
+    return step
 
 
 def vectorize(matrix):
@@ -274,8 +260,8 @@ def unvectorize(vec, dim):
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-def evolve(rho0, prop, steps):
-    """Apply the cached step ``steps`` times, as one matrix power: rho(steps * dt).
+def evolve(rho0, step, steps):
+    """Apply the step ``steps`` times, as one matrix power: rho(steps * dt).
 
     The result is re-symmetrized and trace-renormalized; drift beyond
     EVOLVE_* tolerances (checked before renormalization) raises
@@ -283,12 +269,13 @@ def evolve(rho0, prop, steps):
     """
     if steps < 0:
         raise InvalidState(f"steps must be >= 0, got {steps}")
-    if rho0.dim != prop.dim:
-        raise DimensionMismatch(f"state dim {rho0.dim} != propagator dim {prop.dim}")
+    n = rho0.dim
+    if step.shape != (n * n, n * n):
+        raise DimensionMismatch(f"state dim {n} needs a {n * n}x{n * n} step, got {step.shape}")
     if steps == 0:
         return rho0
-    v = np.linalg.matrix_power(prop.step_matrix, steps) @ vectorize(rho0.matrix)
-    m = unvectorize(v, prop.dim)
+    v = np.linalg.matrix_power(step, steps) @ vectorize(rho0.matrix)
+    m = unvectorize(v, n)
     m = 0.5 * (m + m.conj().T)
     trace = m.trace().real
     if abs(trace - 1.0) > EVOLVE_TRACE_ATOL:

@@ -24,11 +24,12 @@ from .dynamics import (
     EvolutionModel,
     HamiltonianSpec,
     Ladder5,
+    make_propagator,
     require_finite,
     vectorize,
 )
 from .records import MeasurementRecord, matrix_to_parts, shot_noise_floor
-from .tomography import PopulationPredictor, population_rows, prepare_pulse_state
+from .tomography import PopulationPredictor, prepare_pulse_state
 
 DELTA_UNITS = ("ordinary", "angular")
 
@@ -43,15 +44,11 @@ BASIS_STATE_NAMES = {
 
 def basis_state_index(name, dim=5):
     """Resolve a named sublevel ('mF=+2' ... 'mF=-2') or integer index."""
-    if isinstance(name, int):
-        index = name
-    else:
-        if dim != 5 or not isinstance(name, str) or name not in BASIS_STATE_NAMES:
-            raise ValidationError(f"unknown basis state {name!r} for dim {dim}")
-        index = BASIS_STATE_NAMES[name]
-    if not 0 <= index < dim:
-        raise ValidationError(f"basis index {index} out of range for dim {dim}")
-    return index
+    if dim == 5 and isinstance(name, str) and name in BASIS_STATE_NAMES:
+        return BASIS_STATE_NAMES[name]
+    if isinstance(name, bool) or not isinstance(name, int) or not 0 <= name < dim:
+        raise ValidationError(f"unknown basis state {name!r} for dim {dim}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,8 @@ class ExperimentConfig:
             raise ValidationError("repeats must be at least 1")
         if self.atoms_per_shot < 1:
             raise ValidationError("atoms_per_shot must be at least 1")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.detuning_noise < 0.0:
             raise ValidationError("detuning_noise must be >= 0")
         if self.delta_units not in DELTA_UNITS:
@@ -106,12 +105,13 @@ def _drift_populations(rho_true, cfg, rng):
         raise ValidationError("detuning noise requires the 5-level ladder drive")
     times = cfg.times
     rho_vec = vectorize(rho_true.matrix)
+    diagonal = np.arange(h.dim) * (h.dim + 1)
     offsets = rng.normal(0.0, cfg.detuning_noise, size=(cfg.repeats, times.size))
     out = np.empty((cfg.repeats, times.size, h.dim))
     for (k, j), xi in np.ndenumerate(offsets):
         shifted = Ladder5(h.rabi_omega, h.delta1 + xi, h.delta2 + 2.0 * xi)
         model = EvolutionModel(hamiltonian=shifted, gamma=cfg.gamma)
-        out[k, j] = (population_rows(model, times[j], [1])[0] @ rho_vec).real
+        out[k, j] = (make_propagator(model, times[j])[diagonal] @ rho_vec).real
     return out
 
 

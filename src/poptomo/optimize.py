@@ -58,6 +58,8 @@ class SubplexConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,7 +81,7 @@ def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None)
     """ExperimentConfig from JSON with optional CLI overrides."""
     obj = read_json(path)
     units = delta_units or obj.get("delta_units", "ordinary")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         hamiltonian=parse_hamiltonian(obj.get("hamiltonian", {}), units),
         gamma=json_number(obj, "gamma_hz", 0.0),
         sample_interval=json_number(obj, "sample_interval_s", 1.16e-6),
@@ -93,7 +93,6 @@ def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None)
         detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
         delta_units=units,
     )
-    return cfg
 
 
 def save_state(rho, path):
@@ -107,7 +106,10 @@ def parse_schedule(obj, delta_units="ordinary"):
     if isinstance(initial, dict):
         rho = DensityMatrix(parts_to_matrix(initial, "initial_state"))
     else:
-        rho = DensityMatrix.basis_state(5, basis_state_index(initial))
+        try:
+            rho = DensityMatrix.basis_state(5, basis_state_index(initial))
+        except ValidationError as exc:
+            raise SchemaError("initial_state", str(exc)) from None
     segments = []
     for i, seg in enumerate(json_field(obj, "segments", [], list)):
         if not isinstance(seg, dict):

@@ -62,6 +62,9 @@ def infer_grid_step(times):
     if not positive:
         raise GridMismatch("no positive time in the record")
     first = positive[0]
+    # more than MAX_GRID_STEPS steps; checked first so t / first stays finite
+    if max(positive) / MAX_GRID_STEPS > first:
+        raise GridMismatch("times do not share a reasonable uniform grid")
     divisor = 1
     for t in positive:
         ratio = Fraction(t / first).limit_denominator(MAX_GRID_STEPS)
@@ -80,49 +83,34 @@ def infer_grid_step(times):
     return dt
 
 
-def population_rows(model, dt, steps):
-    """Diagonal-extraction rows of exp(L*dt)^k for each k of sorted ``steps``.
-
-    One ``expm``, then prefix products over the gaps.  Returns an array
-    (len(steps), n, n^2); block j maps vec(rho0) to the populations at
-    steps[j] * dt.
-    """
-    n = model.dim
-    step_matrix = make_propagator(model, dt).step_matrix
-    extract = np.zeros((n, n * n), dtype=complex)
-    extract[np.arange(n), np.arange(n) * (n + 1)] = 1.0
-    rows = np.empty((len(steps), n, n * n), dtype=complex)
-    current = extract
-    previous = 0
-    for j, k in enumerate(steps):
-        gap = k - previous
-        if gap:
-            current = current @ np.linalg.matrix_power(step_matrix, gap)
-            previous = k
-        rows[j] = current
-    return rows
-
-
 class PopulationPredictor:
     """Precomputed linear map from vec(rho0) to populations at fixed times.
 
     Stacks the diagonal-extraction rows of exp(L*t_j) for every record
     time, so each candidate state costs one small matrix-vector product.
-    The grid step is inferred from the times.  Built once per
-    (model, grid) and reused across optimizer evaluations.
+    The grid step is inferred from the times: one ``expm``, then prefix
+    products over the step gaps.  Built once per (model, grid) and
+    reused across optimizer evaluations.
     """
 
     def __init__(self, model, times):
         times = np.asarray(times, dtype=float).ravel()
         if np.any(np.diff(times) < 0.0):
             raise GridMismatch("times must be sorted")
-        self.model = model
         self.times = times
-        self.dt = float(infer_grid_step(times))
-        self.dim = model.dim
-        steps = [round(t / self.dt) for t in times]
+        self.dim = n = model.dim
+        dt = infer_grid_step(times)
+        step = make_propagator(model, dt)
+        current = np.eye(n * n, dtype=complex)[np.arange(n) * (n + 1)]
         # (T*n, n^2): row block per time point
-        self.matrix = population_rows(model, self.dt, steps).reshape(times.size * self.dim, -1)
+        self.matrix = np.empty((times.size * n, n * n), dtype=complex)
+        previous = 0
+        for j, t in enumerate(times):
+            gap = round(t / dt) - previous
+            if gap:
+                current = current @ np.linalg.matrix_power(step, gap)
+                previous += gap
+            self.matrix[j * n:(j + 1) * n] = current
 
     def populations(self, rho_vec):
         """Population matrix (n, T) for a column-stacked state vector."""
@@ -274,6 +262,8 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
     even the best start ends above ``epsilon_ceiling``.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
+    if math.isnan(epsilon_ceiling):
+        raise ValidationError("epsilon_ceiling must not be NaN")
     _check_record_model(record, model)
     predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record, WEIGHT_INVERSE_VARIANCE)

@@ -144,7 +144,7 @@ def reference_record(rho, cfg):
             for j, (t, xi) in enumerate(zip(times, offsets)):
                 shifted = pt.Ladder5(h.rabi_omega, h.delta1 + xi, h.delta2 + 2.0 * xi)
                 model = pt.EvolutionModel(hamiltonian=shifted, gamma=cfg.gamma)
-                rows = extract @ pt.make_propagator(model, t).step_matrix if t > 0 else extract
+                rows = extract @ pt.make_propagator(model, t) if t > 0 else extract
                 freqs[k, :, j] = (rows @ rho_vec).real
         if not cfg.noiseless:
             for k in range(repeats):
@@ -157,7 +157,7 @@ def reference_record(rho, cfg):
             means = means / means.sum(axis=0, keepdims=True)
     else:
         model = pt.EvolutionModel(hamiltonian=cfg.hamiltonian, gamma=cfg.gamma)
-        step = pt.make_propagator(model, cfg.sample_interval).step_matrix
+        step = pt.make_propagator(model, cfg.sample_interval)
         blocks = [extract]
         for _ in times[1:]:
             blocks.append(blocks[-1] @ step)

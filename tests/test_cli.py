@@ -357,9 +357,14 @@ def test_sidecar_warnings_not_a_list_exits_2(workspace, tmp_path, warnings):
 
 @pytest.mark.parametrize(
     "which, field, value",
-    [("schedule", "segments", 5), ("config", "noiseless", "false"), ("config", "noiseless", "no")],
+    [
+        ("schedule", "segments", 5),
+        ("config", "noiseless", "false"),
+        ("config", "noiseless", "no"),
+        ("schedule", "initial_state", True),
+    ],
 )
-def test_mistyped_simulate_input_exits_2(workspace, which, field, value):
+def test_mistyped_simulate_input_exits_2(workspace, capsys, which, field, value):
     obj = json.loads(workspace[which].read_text())
     workspace[which].write_text(json.dumps({**obj, field: value}))
     code = run_cli(
@@ -369,7 +374,62 @@ def test_mistyped_simulate_input_exits_2(workspace, which, field, value):
         "--out", workspace["record"],
     )
     assert code == 2
+    assert field in capsys.readouterr().err
     assert not workspace["record"].exists()
+
+
+@pytest.mark.parametrize("where", ["config", "simulate", "reconstruct"])
+def test_negative_seed_exits_2(workspace, tmp_path, capsys, where):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    simulate = ["simulate", "--config", workspace["config"], "--state", workspace["schedule"],
+                "--out", tmp_path / "again.csv"]
+    if where == "config":
+        config = json.loads(workspace["config"].read_text())
+        workspace["config"].write_text(json.dumps({**config, "rng_seed": -1}))
+        argv = simulate
+    elif where == "simulate":
+        argv = [*simulate, "--seed", "-1"]
+    else:
+        argv = ["reconstruct", "--record", workspace["record"], "--model", workspace["model"],
+                "--out", tmp_path / "r.json", "--restarts", "1", "--seed", "-1"]
+    assert run_cli(*argv) == 2
+    assert "rng_seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, options, named",
+    [
+        ("sweep-gamma", ["--windows", "5e-6:17.4e-6:2", "--gammas", "0:inf:3"], "0:inf:3"),
+        ("sweep-gamma", ["--windows", "5e-6:17.4e-6:2", "--gammas", "nan:750:3"], "nan:750:3"),
+        ("sweep-gamma", ["--windows", "5e-6:inf:2", "--gammas", "0:750:3"], "5e-6:inf:2"),
+        ("converge", ["--windows", "5.8e-6:nan:3"], "5.8e-6:nan:3"),
+        ("reconstruct", ["--epsilon-ceiling", "nan"], "epsilon_ceiling"),
+    ],
+)
+def test_non_finite_cli_number_exits_2(workspace, tmp_path, capsys, command, options, named):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    code = run_cli(
+        command,
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--out", tmp_path / "out",
+        "--restarts", "1",
+        "--max-evals", "200",
+        *options,
+    )
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, value", [("n_samples", 16.7), ("repeats", True)])

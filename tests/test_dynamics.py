@@ -17,6 +17,11 @@ class TestDensityMatrix:
         assert rho.matrix[0, 0] == 1.0
         assert np.abs(rho.matrix).sum() == 1.0
 
+    @pytest.mark.parametrize("index", [True, False, np.True_])
+    def test_basis_state_rejects_boolean_index(self, index):
+        with pytest.raises(pt.ValidationError, match="integer"):
+            pt.DensityMatrix.basis_state(5, index)
+
     def test_rejects_non_hermitian(self):
         m = np.eye(2, dtype=complex)
         m[0, 1] = 1e-6
@@ -152,21 +157,38 @@ class TestMakePropagator:
         dt = 0.8e-6
         prop = pt.make_propagator(model, dt)
         expected = oracles.unitary_channel_matrix(pt.build_hamiltonian(ladder), dt)
-        assert np.abs(prop.step_matrix - expected).max() < 1e-10
+        assert np.abs(prop - expected).max() < 1e-10
 
     def test_zero_dt_is_identity(self, ladder_model):
         prop = pt.make_propagator(ladder_model, 0.0)
-        np.testing.assert_array_equal(prop.step_matrix, np.eye(25))
+        np.testing.assert_array_equal(prop, np.eye(25))
 
     def test_negative_dt_rejected(self, ladder_model):
         with pytest.raises(pt.InvalidState):
             pt.make_propagator(ladder_model, -1e-6)
+
+    @pytest.mark.parametrize("dt", [0.0, 1e-6])
+    def test_step_is_read_only(self, ladder_model, dt):
+        step = pt.make_propagator(ladder_model, dt)
+        assert step.shape == (25, 25)
+        assert step.flags.writeable is False
+        with pytest.raises(ValueError):
+            step[0, 0] = 0.0
 
 
 class TestEvolve:
     def test_zero_steps_returns_input(self, ladder_model):
         rho = pt.DensityMatrix.basis_state(5, 2)
         assert pt.evolve(rho, pt.make_propagator(ladder_model, 1e-6), 0) is rho
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_step_of_another_dimension_rejected(self, steps):
+        model = pt.EvolutionModel(pt.GenericHamiltonian(np.eye(2, dtype=complex)), gamma=1.0)
+        step = pt.make_propagator(model, 1e-6)
+        with pytest.raises(pt.DimensionMismatch):
+            pt.evolve(pt.DensityMatrix.basis_state(5, 0), step, steps)
+        with pytest.raises(pt.DimensionMismatch):
+            pt.evolve(pt.DensityMatrix.basis_state(2, 0), step[:, :3], steps)
 
     def test_matches_rk4_on_reference_drive(self, ladder_model):
         rho0 = pt.DensityMatrix.basis_state(5, 0)

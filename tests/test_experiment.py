@@ -97,6 +97,8 @@ class TestSynthesizeRecord:
             pt.ExperimentConfig(hamiltonian=ladder, repeats=0)
         with pytest.raises(pt.ValidationError):
             pt.ExperimentConfig(hamiltonian=ladder, delta_units="radians")
+        with pytest.raises(pt.ValidationError, match="rng_seed"):
+            pt.ExperimentConfig(hamiltonian=ladder, rng_seed=-1)
 
 
 NON_FINITE_FIELDS = [
@@ -208,3 +210,5 @@ class TestPreparation:
             basis_state_index("mF=+3")
         with pytest.raises(pt.ValidationError):
             basis_state_index(7)
+        with pytest.raises(pt.ValidationError):
+            basis_state_index(True)

@@ -71,6 +71,8 @@ class TestNelderMead:
     def test_config_validation(self):
         with pytest.raises(pt.ValidationError):
             pt.SimplexConfig(x_tol=0.0)
+        with pytest.raises(pt.ValidationError, match="rng_seed"):
+            pt.SubplexConfig(rng_seed=-1)
 
 
 class TestSubplex:

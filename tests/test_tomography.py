@@ -217,6 +217,58 @@ class TestInferGridStep:
         assert dt == pytest.approx(math.gcd(*ks) * step, rel=1e-9)
         assert np.all(np.abs(times - np.round(times / dt) * dt) <= tomography.GRID_ATOL)
 
+    @staticmethod
+    def assert_grid_contract(times):
+        """GridMismatch, or a step that puts every time on the grid."""
+        try:
+            dt = pt.infer_grid_step(times)
+        except pt.GridMismatch:
+            return
+        k = np.round(times / dt)
+        assert np.all(np.abs(times - k * dt) <= tomography.GRID_ATOL)
+        assert k.max() <= tomography.MAX_GRID_STEPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        step=st.floats(1e-9, 1e-3),
+        n=st.integers(2, 300),
+        scale=st.floats(0.0, 1e-9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a subnormal first time: t / first overflowed
+    @example(step=0.0009777668154532602, n=2, scale=5e-324, seed=214)
+    def test_jittered_grid(self, step, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        times = np.abs(np.arange(n) * step + rng.uniform(-scale, scale, n))
+        self.assert_grid_contract(np.sort(times))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e308), min_size=1, max_size=20))
+    # t / first overflowed to inf inside Fraction (OverflowError)
+    @example([2.247116418577895e307, 0.125])
+    def test_incommensurate_times(self, times):
+        self.assert_grid_contract(np.sort(np.array(times)))
+
+    # steps up to 1 ms: GRID_ATOL is absolute, and np.cumsum over 1,000
+    # steps of 50 ms or more accumulates rounding beyond it
+    @settings(max_examples=200, deadline=None)
+    @given(
+        step=st.floats(1e-9, 1e-3),
+        n=st.integers(2, 1000),
+        kind=st.sampled_from(["cumsum", "linspace"]),
+        from_zero=st.booleans(),
+    )
+    def test_generated_grid_returns_its_step(self, step, n, kind, from_zero):
+        if kind == "cumsum":
+            times = np.cumsum(np.full(n, step))
+            if from_zero:
+                times = np.concatenate([[0.0], times[:-1]])
+        elif from_zero:
+            times = np.linspace(0.0, (n - 1) * step, n)
+        else:
+            times = np.linspace(step, n * step, n)
+        assert pt.infer_grid_step(times) == pytest.approx(step, rel=1e-12)
+
 
 class TestPropagationRoutes:
     @settings(max_examples=40, deadline=None)
