@@ -12,16 +12,16 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .dynamics import uhlmann_fidelity
-from .experiment import synthesize_record
-from .optimize import SimplexConfig, SubplexConfig
-from .records import load_record, save_record, sidecar_path, write_csv, write_json
-from .serialize import (
+from .experiment import (
     load_experiment_config,
     load_model,
     load_state_or_schedule,
     save_reconstruction,
     save_state,
+    synthesize_record,
 )
+from .optimize import SimplexConfig, SubplexConfig
+from .records import load_record, save_record, sidecar_path, write_csv, write_json
 from .tomography import EvolutionModel, convergence_study, reconstruct, sweep_gamma
 
 

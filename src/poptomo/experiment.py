@@ -1,4 +1,4 @@
-"""Synthetic experiments mirroring the destructive sampling protocol.
+"""Synthetic experiments mirroring the destructive sampling protocol, and their files.
 
 Each time point is measured by evolving the true state to that time and
 drawing ``repeats`` independent multinomial shots of ``atoms_per_shot``
@@ -10,26 +10,44 @@ from a drifting bias field: delta1 shifts by xi, delta2 by 2*xi).
 
 Preparation schedules chain piecewise-constant ladder drives to build
 the states under test from a named basis state.
+
+Configs, models, schedules, states and results are JSON files read and
+written here.  ``rabi_hz`` and ``detuning_noise_hz`` are ordinary
+frequencies (multiplied by 2*pi on load), ``gamma_hz`` is a plain rate in
+1/s, and ``delta1``/``delta2`` follow ``delta_units``: "ordinary"
+(default) multiplies by 2*pi, "angular" takes rad/s verbatim, as do
+``delta1_rad_s``/``delta2_rad_s`` always.  Matrices use ``records``' format.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
-from .errors import InvalidState, ValidationError
+from .errors import InvalidState, SchemaError, ValidationError
 from .dynamics import (
     DensityMatrix,
     EvolutionModel,
+    GenericHamiltonian,
     HamiltonianSpec,
     Ladder5,
     make_propagator,
     require_finite,
     vectorize,
 )
-from .records import MeasurementRecord, matrix_to_parts, shot_noise_floor
+from .records import (
+    MeasurementRecord,
+    json_field,
+    json_number,
+    matrix_to_parts,
+    parts_to_matrix,
+    read_json,
+    shot_noise_floor,
+    write_json,
+)
 from .tomography import PopulationPredictor, prepare_pulse_state
+
+TWO_PI = 2.0 * math.pi
 
 DELTA_UNITS = ("ordinary", "angular")
 
@@ -168,7 +186,7 @@ def config_to_dict(cfg):
     if isinstance(h, Ladder5):
         ham = {
             "type": "ladder5",
-            "rabi_hz": h.rabi_omega / (2.0 * math.pi),
+            "rabi_hz": h.rabi_omega / TWO_PI,
             "delta1_rad_s": h.delta1,
             "delta2_rad_s": h.delta2,
         }
@@ -183,9 +201,75 @@ def config_to_dict(cfg):
         "atoms_per_shot": cfg.atoms_per_shot,
         "rng_seed": cfg.rng_seed,
         "noiseless": cfg.noiseless,
-        "detuning_noise_hz": cfg.detuning_noise / (2.0 * math.pi),
+        "detuning_noise_hz": cfg.detuning_noise / TWO_PI,
         "delta_units": cfg.delta_units,
     }
+
+
+def _delta_units(obj, override):
+    """The detuning units: the override, else the file's, else "ordinary"."""
+    units = override or obj.get("delta_units", "ordinary")
+    if units not in DELTA_UNITS:
+        raise SchemaError("delta_units", f"expected one of {DELTA_UNITS}, got {units!r}")
+    return units
+
+
+def _delta_to_angular(value, delta_units):
+    return value * TWO_PI if delta_units == "ordinary" else value
+
+
+def _parse_hamiltonian(obj, delta_units):
+    """Build a Hamiltonian spec from its JSON form."""
+    if not isinstance(obj, dict) or "type" not in obj:
+        raise SchemaError("hamiltonian", "expected an object with a 'type' field")
+    kind = obj["type"]
+    if kind == "ladder5":
+        rabi = json_number(obj, "rabi_hz", None)
+        d1 = json_number(obj, "delta1", 0.0)
+        d2 = json_number(obj, "delta2", 0.0)
+        if "delta1_rad_s" in obj or "delta2_rad_s" in obj:
+            d1 = json_number(obj, "delta1_rad_s", 0.0)
+            d2 = json_number(obj, "delta2_rad_s", 0.0)
+            delta_units = "angular"
+        return Ladder5(
+            rabi_omega=TWO_PI * rabi,
+            delta1=_delta_to_angular(d1, delta_units),
+            delta2=_delta_to_angular(d2, delta_units),
+        )
+    if kind == "generic":
+        return GenericHamiltonian(entries=parts_to_matrix(obj, "hamiltonian"))
+    raise SchemaError("hamiltonian", f"unknown type {kind!r}")
+
+
+def _read_drive(path, delta_units):
+    """A model or config file: its object, detuning units, Hamiltonian and gamma."""
+    obj = read_json(path)
+    units = _delta_units(obj, delta_units)
+    hamiltonian = _parse_hamiltonian(obj.get("hamiltonian", {}), units)
+    return obj, units, hamiltonian, json_number(obj, "gamma_hz", 0.0)
+
+
+def load_model(path, delta_units=None):
+    """EvolutionModel from {hamiltonian, gamma_hz[, delta_units]}."""
+    _, _, hamiltonian, gamma = _read_drive(path, delta_units)
+    return EvolutionModel(hamiltonian=hamiltonian, gamma=gamma)
+
+
+def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None):
+    """ExperimentConfig from ``config_to_dict``'s JSON, with optional CLI overrides."""
+    obj, units, hamiltonian, gamma = _read_drive(path, delta_units)
+    return ExperimentConfig(
+        hamiltonian=hamiltonian,
+        gamma=gamma,
+        sample_interval=json_number(obj, "sample_interval_s", 1.16e-6),
+        n_samples=json_number(obj, "n_samples", 16, int),
+        repeats=json_number(obj, "repeats", 5, int),
+        atoms_per_shot=json_number(obj, "atoms_per_shot", 80_000, int),
+        rng_seed=int(seed) if seed is not None else json_number(obj, "rng_seed", 0, int),
+        noiseless=json_field(obj, "noiseless", False, bool) if noiseless is None else bool(noiseless),
+        detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
+        delta_units=units,
+    )
 
 
 @dataclass(frozen=True)
@@ -225,6 +309,70 @@ def run_preparation(schedule):
         )
         rho = prepare_pulse_state(rho, model, seg.duration)
     return rho
+
+
+def _parse_schedule(obj, delta_units):
+    initial = obj.get("initial_state")
+    if initial is None:
+        raise SchemaError("initial_state", "missing")
+    if isinstance(initial, dict):
+        rho = DensityMatrix(parts_to_matrix(initial, "initial_state"))
+    else:
+        try:
+            rho = DensityMatrix.basis_state(5, basis_state_index(initial))
+        except ValidationError as exc:
+            raise SchemaError("initial_state", str(exc)) from None
+    segments = []
+    for i, seg in enumerate(json_field(obj, "segments", [], list)):
+        if not isinstance(seg, dict):
+            raise SchemaError(f"segments[{i}]", "expected an object")
+        segments.append(
+            PulseSegment(
+                duration=json_number(seg, "duration_s", None),
+                omega=TWO_PI * json_number(seg, "rabi_hz", None),
+                delta1=_delta_to_angular(json_number(seg, "delta1", 0.0), delta_units),
+                delta2=_delta_to_angular(json_number(seg, "delta2", 0.0), delta_units),
+                gamma=json_number(seg, "gamma_hz", 0.0),
+            )
+        )
+    return PreparationSchedule(initial_state=rho, segments=segments)
+
+
+def save_state(rho, path):
+    write_json(path, {"dim": rho.dim, **matrix_to_parts(rho.matrix)})
+
+
+def load_state_or_schedule(path, delta_units=None):
+    """Accept a state file, a reconstruction result, or a schedule.
+
+    Schedules are run through their preparation first; result files
+    contribute their reconstructed state.
+    """
+    obj = read_json(path)
+    if "segments" in obj or "initial_state" in obj:
+        return run_preparation(_parse_schedule(obj, _delta_units(obj, delta_units)))
+    if "rho0" in obj:
+        return DensityMatrix(parts_to_matrix(obj["rho0"], "rho0"))
+    return DensityMatrix(parts_to_matrix(obj, "state"))
+
+
+def save_reconstruction(result, path, *, fidelity=None):
+    """Reconstruction result JSON: state, error, diagnostics."""
+    payload = {
+        "rho0": {"dim": result.rho0.dim, **matrix_to_parts(result.rho0.matrix)},
+        "epsilon": result.epsilon,
+        "gamma_used_hz": result.gamma_used,
+        "window_s": list(result.window),
+        "optimizer": {
+            "best_f": result.opt.best_f,
+            "evals": result.opt.evals,
+            "converged_by": result.opt.converged_by,
+            "per_restart_f": [float(v) for v in result.opt.per_restart_f],
+        },
+    }
+    if fidelity is not None:
+        payload["fidelity"] = fidelity
+    write_json(path, payload)
 
 
 def pi_half_duration(rabi_omega):

@@ -153,6 +153,24 @@ def matrix_to_parts(matrix):
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
+def parts_to_matrix(obj, what):
+    """The complex matrix ``matrix_to_parts`` wrote; a missing ``imag`` reads as zeros."""
+    if not isinstance(obj, dict) or "real" not in obj:
+        raise SchemaError(what, "expected 'real'/'imag' nested lists")
+    real = _number_array(obj, "real", what)
+    imag = _number_array(obj, "imag", what) if "imag" in obj else np.zeros_like(real)
+    if real.shape != imag.shape:
+        raise SchemaError(what, "real and imag parts differ in shape")
+    return real + 1j * imag
+
+
+def _number_array(obj, part, what):
+    """obj[part] as a float array; each entry is read by ``json_number`` as ``what.part``."""
+    entries = np.asarray(obj[part], dtype=object)
+    key = f"{what}.{part}"
+    return np.array([json_number({key: v}, key, None) for v in entries.flat]).reshape(entries.shape)
+
+
 def save_record(record, path):
     """Write the CSV and its JSON sidecar; floats round-trip exactly."""
     table = np.vstack([record.times, record.means, record.sigmas]).T
@@ -163,12 +181,12 @@ def save_record(record, path):
 def json_number(obj, key, default, kind=float):
     """obj[key] (or the default) as a finite number; SchemaError names a bad field.
 
-    A JSON boolean is not a number, and an integer field rejects a
-    fractional value instead of truncating it.
+    A JSON boolean or string is not a number, and an integer field rejects
+    a fractional value instead of truncating it.
     """
     value = obj.get(key, default)
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if not isinstance(value, bool) and not fractional:
+    if not isinstance(value, (bool, str)) and not fractional:
         try:
             number = kind(value)
             if math.isfinite(number):

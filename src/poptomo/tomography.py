@@ -44,6 +44,7 @@ from .parameterize import rho_matrix_from_values  # noqa: F401
 from .records import MeasurementRecord
 
 GRID_ATOL = 1e-12
+GRID_RTOL = 1e-12
 MAX_GRID_STEPS = 1_000_000
 
 WEIGHT_INVERSE_VARIANCE = "inverse_variance"
@@ -56,7 +57,8 @@ def infer_grid_step(times):
     dt is the first positive time over the least common denominator of
     every positive time's ratio to it (the nearest fraction with a
     denominator up to MAX_GRID_STEPS), so a uniform grid reproduces its
-    spacing bit-for-bit.
+    spacing bit-for-bit.  Each time t must lie within max(GRID_ATOL,
+    GRID_RTOL * t) of a multiple of dt: a summed grid's rounding grows with t.
     """
     positive = [t for t in times if t > 0.0]
     if not positive:
@@ -74,7 +76,7 @@ def infer_grid_step(times):
     dt = first / divisor
     for t in times:
         k = round(t / dt)
-        if abs(t - k * dt) > GRID_ATOL:
+        if abs(t - k * dt) > max(GRID_ATOL, GRID_RTOL * t):
             raise GridMismatch(
                 f"time {t!r} is not a multiple of the grid step {dt!r}"
             )

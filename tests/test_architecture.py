@@ -1,0 +1,51 @@
+"""Structural claims about the package, checked on the syntax tree of each module.
+
+Only ``records`` touches files: no other module imports ``json`` or ``csv``
+or calls ``open``.  The only ``expm`` in the package is the call inside
+``dynamics.make_propagator``.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "poptomo"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _called_name(node):
+    """``f`` for a call ``f(...)`` or ``x.f(...)``; None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _walk(node, owner, visit):
+    """visit(node, owner) for every node; owner is module[.class][.function] around it."""
+    for child in ast.iter_child_nodes(node):
+        visit(child, owner)
+        _walk(child, f"{owner}.{child.name}" if isinstance(child, FUNCTIONS) else owner, visit)
+
+
+def test_file_io_and_expm_stay_in_their_modules():
+    file_io, expm_calls = set(), []
+
+    def visit(node, owner):
+        module = owner.split(".")[0]
+        if isinstance(node, ast.Import):
+            imported = {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported = {node.module}
+        else:
+            imported = set()
+        if imported & {"json", "csv"} or _called_name(node) == "open":
+            file_io.add(module)
+        if _called_name(node) == "expm":
+            expm_calls.append(owner)
+        # an alias would hide a call from the name check above
+        if isinstance(node, ast.alias) and node.name == "expm":
+            assert node.asname is None, f"{module} imports expm as {node.asname}"
+
+    for path in sorted(SRC.glob("*.py")):
+        _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
+    assert file_io == {"records"}
+    assert expm_calls == ["dynamics.make_propagator"]

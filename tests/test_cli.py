@@ -84,7 +84,7 @@ def test_fidelity_of_state_files(workspace, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     rho = pt.DensityMatrix.basis_state(5, 0)
-    from poptomo.serialize import save_state
+    from poptomo.experiment import save_state
 
     save_state(rho, a)
     save_state(pt.DensityMatrix.maximally_mixed(5), b)
@@ -222,7 +222,7 @@ def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch,
 
 
 def test_delta_units_flag_changes_model(workspace):
-    from poptomo.serialize import load_model
+    from poptomo.experiment import load_model
 
     ordinary = load_model(workspace["model"], "ordinary")
     angular = load_model(workspace["model"], "angular")
@@ -304,6 +304,14 @@ MALFORMED_INPUTS = {
     "sidecar_atoms_string": ("sidecar", _with_atoms("abc")),
     "sidecar_atoms_bool": ("sidecar", _with_atoms(True)),
     "sidecar_atoms_fractional": ("sidecar", _with_atoms(2.5)),
+    "model_gamma_numeric_string": ("model", lambda m: {**m, "gamma_hz": "375"}),
+    "model_generic_bool_entries": (
+        "model", lambda m: {**m, "hamiltonian": {"type": "generic", "real": [[False] * 5] * 5}}
+    ),
+    "model_generic_delta_units_int": (
+        "model",
+        lambda m: {**m, "hamiltonian": {"type": "generic", "real": [[0.0] * 5] * 5}, "delta_units": 7},
+    ),
 }
 
 
@@ -362,6 +370,8 @@ def test_sidecar_warnings_not_a_list_exits_2(workspace, tmp_path, warnings):
         ("config", "noiseless", "false"),
         ("config", "noiseless", "no"),
         ("schedule", "initial_state", True),
+        ("schedule", "initial_state", {"real": [[True] + [False] * 4] + [[False] * 5] * 4}),
+        ("config", "hamiltonian", {"type": "generic", "real": [["0"] * 5] * 5}),
     ],
 )
 def test_mistyped_simulate_input_exits_2(workspace, capsys, which, field, value):

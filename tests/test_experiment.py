@@ -1,10 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poptomo as pt
 import oracles
+from poptomo.experiment import (
+    config_to_dict,
+    load_experiment_config,
+    load_state_or_schedule,
+    save_state,
+)
+from poptomo.records import write_json
 
 TWO_PI = 2.0 * np.pi
 
@@ -212,3 +222,65 @@ class TestPreparation:
             basis_state_index(7)
         with pytest.raises(pt.ValidationError):
             basis_state_index(True)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# 2*pi-scaled fields are drawn in Hz, as a file gives them: (x / 2pi) * 2pi is
+# not always x, but it was for every x = 2pi * hz of 1e8 random mantissas
+HZ = st.floats(-1e300, 1e300, allow_subnormal=False)
+
+
+@st.composite
+def experiment_configs(draw):
+    if draw(st.booleans()):
+        hamiltonian = pt.Ladder5(TWO_PI * draw(HZ), draw(FINITE), draw(FINITE))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        entries = oracles.random_hermitian(rng, draw(st.integers(1, 9)), draw(st.floats(0.0, 1e12)))
+        hamiltonian = pt.GenericHamiltonian(entries)
+    return pt.ExperimentConfig(
+        hamiltonian=hamiltonian,
+        gamma=draw(FINITE),
+        sample_interval=draw(st.floats(5e-324, 1e300)),
+        n_samples=draw(st.integers(2, 2**53)),
+        repeats=draw(st.integers(1, 2**53)),
+        atoms_per_shot=draw(st.integers(1, 2**53)),
+        rng_seed=draw(st.integers(0, 2**64 - 1)),
+        noiseless=draw(st.booleans()),
+        detuning_noise=TWO_PI * draw(st.floats(0.0, 1e300, allow_subnormal=False)),
+        delta_units=draw(st.sampled_from(["ordinary", "angular"])),
+    )
+
+
+class TestFileRoundTrips:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=experiment_configs())
+    def test_config_reads_back_equal(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.getbasetemp() / "config.json"
+        write_json(path, config_to_dict(cfg))
+        back = load_experiment_config(path)
+        if isinstance(cfg.hamiltonian, pt.GenericHamiltonian):
+            # equal by value: a negative zero entry reads back as +0.0
+            np.testing.assert_array_equal(back.hamiltonian.entries, cfg.hamiltonian.entries)
+            back = dataclasses.replace(back, hamiltonian=cfg.hamiltonian)
+        assert back == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(1, 9),
+        kind=st.sampled_from(["mixed", "pure", "basis"]),
+    )
+    def test_state_reads_back_bit_identical(self, tmp_path_factory, seed, dim, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "basis":
+            rho = pt.DensityMatrix.basis_state(dim, seed % dim)
+        else:
+            make = oracles.random_density if kind == "mixed" else oracles.random_pure_density
+            rho = pt.DensityMatrix(make(rng, dim))
+        # these states hold no negative zero, which the reader turns into +0.0
+        path = tmp_path_factory.getbasetemp() / "state.json"
+        save_state(rho, path)
+        back = load_state_or_schedule(path)
+        assert back.matrix.dtype == rho.matrix.dtype
+        assert back.matrix.tobytes() == rho.matrix.tobytes()
