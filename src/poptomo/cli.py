@@ -49,10 +49,17 @@ def _subplex_config(args):
 
 
 def _add_opt_flags(parser):
-    parser.add_argument("--seed", type=int, default=0, help="optimizer RNG seed")
-    parser.add_argument("--restarts", type=int, default=32, help="multi-start restarts")
     parser.add_argument(
-        "--max-evals", type=int, default=200_000, help="evaluation budget per restart"
+        "--seed", type=int, default=0, help="accepted but unused: the solve has no random start"
+    )
+    parser.add_argument(
+        "--restarts", type=int, default=32, help="accepted but unused: the solve has no restarts"
+    )
+    parser.add_argument(
+        "--max-evals",
+        type=int,
+        default=200_000,
+        help="total evaluation budget of one reconstruction (BFGS and polish together)",
     )
 
 
@@ -97,7 +104,10 @@ def cmd_reconstruct(args):
         reference = load_state_or_schedule(args.reference, args.delta_units)
         fidelity = uhlmann_fidelity(result.rho0, reference)
     save_reconstruction(result, args.out, fidelity=fidelity)
-    line = f"epsilon {result.epsilon:.6e} after {result.opt.evals} evaluations"
+    line = (
+        f"epsilon {result.epsilon:.6e} (gap {result.gap:.2e})"
+        f" after {result.opt.evals} evaluations"
+    )
     if fidelity is not None:
         line += f", fidelity {fidelity:.4f}"
     print(line + f" -> {args.out}")

@@ -357,7 +357,7 @@ def load_state_or_schedule(path, delta_units=None):
 
 
 def save_reconstruction(result, path, *, fidelity=None):
-    """Reconstruction result JSON: state, error, diagnostics."""
+    """Reconstruction result JSON: state, error, and the optimizer diagnostics with the gap."""
     payload = {
         "rho0": {"dim": result.rho0.dim, **matrix_to_parts(result.rho0.matrix)},
         "epsilon": result.epsilon,
@@ -368,6 +368,7 @@ def save_reconstruction(result, path, *, fidelity=None):
             "evals": result.opt.evals,
             "converged_by": result.opt.converged_by,
             "per_restart_f": [float(v) for v in result.opt.per_restart_f],
+            "gap": result.gap,
         },
     }
     if fidelity is not None:

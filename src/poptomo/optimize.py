@@ -1,11 +1,14 @@
-"""Derivative-free minimization over real vectors.
+"""Minimization over real vectors.
 
-Three layers: a classic reflect/expand/contract/shrink simplex
+Four pieces: a classic reflect/expand/contract/shrink simplex
 (``nelder_mead``), a subspace-cycling wrapper that runs the simplex on
-small blocks of coordinates ordered by recent progress (``subplex``),
-and a seeded multi-start driver (``multi_start``) for non-convex
-landscapes.  Everything is deterministic for a fixed seed and respects a
-hard evaluation budget.
+small blocks of coordinates ordered by recent progress (``subplex``), a
+seeded multi-start loop (``multi_start``) for non-convex landscapes,
+and a dense BFGS with Armijo backtracking (``bfgs``) for objectives that
+supply their gradient.  Everything is deterministic for a fixed seed and
+respects a hard evaluation budget.  Only numpy is used: importing
+``scipy.optimize`` would add about 20 MB and more start-up time than a
+whole reconstruction takes.
 """
 
 import math
@@ -18,6 +21,9 @@ from .errors import NonFiniteObjective, ValidationError
 XTOL = "xtol"
 FTOL = "ftol"
 MAX_EVALS = "max_evals"
+LINE_SEARCH = "line_search"
+STALL = "stall"
+GTOL = "gtol"
 
 # Nelder & Mead's coefficients (Comput. J. 7, 308, 1965), which are also
 # Rowan's subplex defaults.
@@ -30,6 +36,17 @@ SHRINK = 0.5
 NSMAX = 5
 # Initial simplex offset, relative to each start coordinate.
 INITIAL_STEP = 0.1
+# Armijo sufficient-decrease fraction and the backtracking factor of bfgs.
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+# A bfgs line search that has not met the Armijo condition after this many
+# halvings has failed: the direction no longer descends at float precision.
+MAX_BACKTRACKS = 40
+# bfgs has stalled once its last STALL_ITERS iterations together lowered f
+# by at most STALL_RTOL * f: at a kink of f (a non-smooth point) the line
+# search keeps succeeding with steps that buy almost nothing.
+STALL_RTOL = 1e-7
+STALL_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -331,4 +348,83 @@ def multi_start(f, sampler, cfg=None):
         evals=sum(r.evals for r in results if r is not None),
         converged_by=winner.converged_by,
         per_restart_f=per_restart,
+    )
+
+
+def bfgs(fg, x0, max_evals):
+    """Minimize a smooth f from x0 with dense BFGS and Armijo backtracking.
+
+    ``fg(x)`` returns ``(f, gradient)``; each call counts one evaluation
+    against ``max_evals``.  The inverse Hessian starts as the identity and
+    is scaled by s.y / y.y before its first update (Nocedal & Wright,
+    eq. 6.20); a step that does not raise the slope (s.y <= 0) skips the
+    update.  Each line search tries the full step first and halves it
+    until f falls by ARMIJO times the predicted decrease.  Stops on a zero
+    gradient (``gtol``), a failed line search (``line_search``), a stalled
+    decrease (``stall``, see STALL_RTOL) or the budget (``max_evals``).
+    A non-finite trial value only shortens the step.  The result is never
+    worse than the start, and is deterministic.
+    """
+    x = np.asarray(x0, dtype=float).ravel().copy()
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("x0 must be finite")
+    if max_evals < 1:
+        raise ValidationError("max_evals must be at least 1")
+    f, g = fg(x)
+    f = float(f)
+    if not math.isfinite(f):
+        raise NonFiniteObjective("objective is not finite at the start point")
+    evals = 1
+    inverse = np.eye(x.size)
+    scaled = False
+    history = [f]
+    reason = None
+    while reason is None:
+        if not g.any():
+            reason = GTOL
+            break
+        direction = -(inverse @ g)
+        slope = float(g @ direction)
+        if slope >= 0.0:
+            # rounding cost the inverse its positive definiteness: restart
+            inverse = np.eye(x.size)
+            scaled = False
+            direction = -g
+            slope = -float(g @ g)
+        step = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            if evals >= max_evals:
+                reason = MAX_EVALS
+                break
+            trial = x + step * direction
+            f_trial, g_trial = fg(trial)
+            f_trial = float(f_trial)
+            evals += 1
+            if f_trial < f + ARMIJO * step * slope:
+                break
+            step *= BACKTRACK
+        else:
+            reason = LINE_SEARCH
+        if reason is not None:
+            break
+        s = trial - x
+        y = g_trial - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            if not scaled:
+                inverse *= sy / float(y @ y)
+                scaled = True
+            hy = inverse @ y
+            inverse += ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
+            inverse -= np.outer(hy, s / sy) + np.outer(s / sy, hy)
+        x, f, g = trial, f_trial, g_trial
+        history.append(f)
+        if len(history) > STALL_ITERS and history[-STALL_ITERS - 1] - f <= STALL_RTOL * f:
+            reason = STALL
+    return OptResult(
+        best_x=x,
+        best_f=f,
+        evals=evals,
+        converged_by=reason,
+        per_restart_f=np.array([f]),
     )

@@ -154,14 +154,18 @@ def matrix_to_parts(matrix):
 
 
 def parts_to_matrix(obj, what):
-    """The complex matrix ``matrix_to_parts`` wrote; a missing ``imag`` reads as zeros."""
+    """The complex matrix ``matrix_to_parts`` wrote, bit for bit; a missing ``imag`` reads as zeros."""
     if not isinstance(obj, dict) or "real" not in obj:
         raise SchemaError(what, "expected 'real'/'imag' nested lists")
     real = _number_array(obj, "real", what)
     imag = _number_array(obj, "imag", what) if "imag" in obj else np.zeros_like(real)
     if real.shape != imag.shape:
         raise SchemaError(what, "real and imag parts differ in shape")
-    return real + 1j * imag
+    # filled part by part: real + 1j * imag would turn a -0.0 into +0.0
+    matrix = np.empty(real.shape, dtype=complex)
+    matrix.real = real
+    matrix.imag = imag
+    return matrix
 
 
 def _number_array(obj, part, what):

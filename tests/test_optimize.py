@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import poptomo as pt
+from poptomo.optimize import bfgs
 
 
 def sphere(x):
@@ -12,6 +13,14 @@ def sphere(x):
 
 def rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def rosenbrock_and_grad(x):
+    inner = x[1:] - x[:-1] ** 2
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * x[:-1] * inner - 2.0 * (1.0 - x[:-1])
+    grad[1:] += 200.0 * inner
+    return rosenbrock(x), grad
 
 
 class TestNelderMead:
@@ -211,3 +220,75 @@ class TestMultiStart:
         res = pt.multi_start(nan_far_left, lambda rng: next(starts), cfg)
         assert res.best_f < 1e-8
         assert res.per_restart_f[0] == math.inf
+
+
+class TestBFGS:
+    @staticmethod
+    def quadratic(dim, seed):
+        """0.5 (x - x*)^T A (x - x*) with A's eigenvalues spread over 1..100."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        a = (q * np.logspace(0.0, 2.0, dim)) @ q.T
+        minimizer = rng.standard_normal(dim)
+
+        def fg(x):
+            d = x - minimizer
+            ad = a @ d
+            return 0.5 * float(d @ ad), ad
+
+        return fg, minimizer
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_convex_quadratic(self, seed):
+        fg, minimizer = self.quadratic(12, seed)
+        res = bfgs(fg, np.zeros(12), 10_000)
+        assert res.best_f <= 1e-12
+        assert np.abs(res.best_x - minimizer).max() <= 1e-12
+
+    def test_rosenbrock(self):
+        res = bfgs(rosenbrock_and_grad, np.zeros(6), 10_000)
+        assert res.best_f < 1e-12
+        np.testing.assert_allclose(res.best_x, np.ones(6), atol=1e-6)
+
+    @pytest.mark.parametrize("budget", [1, 2, 7, 30, 200])
+    def test_budget_respected(self, budget):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return rosenbrock_and_grad(x)
+
+        x0 = np.full(6, -0.5)
+        res = bfgs(counted, x0, budget)
+        assert res.evals == len(calls) <= budget
+        assert res.best_f <= rosenbrock(x0)
+        if budget < 30:
+            assert res.converged_by == pt.optimize.MAX_EVALS
+
+    def test_deterministic(self):
+        a = bfgs(rosenbrock_and_grad, np.full(6, -0.5), 300)
+        b = bfgs(rosenbrock_and_grad, np.full(6, -0.5), 300)
+        assert a.best_x.tobytes() == b.best_x.tobytes()
+        assert (a.best_f, a.evals, a.converged_by) == (b.best_f, b.evals, b.converged_by)
+
+    def test_zero_gradient_stops_at_once(self):
+        res = bfgs(lambda x: (float(x @ x), 2.0 * x), np.zeros(3), 100)
+        assert (res.best_f, res.evals, res.converged_by) == (0.0, 1, pt.optimize.GTOL)
+
+    def test_non_finite_trial_shortens_the_step(self):
+        def wall(x):
+            if x[0] > 0.5:
+                return math.nan, np.full_like(x, math.nan)
+            return float((x[0] - 1.0) ** 2), np.array([2.0 * (x[0] - 1.0)])
+
+        res = bfgs(wall, np.array([-3.0]), 1_000)
+        assert res.best_x[0] <= 0.5
+        assert res.best_f < wall(np.array([-3.0]))[0]
+
+    def test_validation(self):
+        with pytest.raises(pt.ValidationError):
+            bfgs(rosenbrock_and_grad, np.array([0.0, math.inf]), 10)
+        with pytest.raises(pt.ValidationError):
+            bfgs(rosenbrock_and_grad, np.zeros(2), 0)
+        with pytest.raises(pt.NonFiniteObjective):
+            bfgs(lambda x: (math.nan, x), np.zeros(2), 10)

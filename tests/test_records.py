@@ -274,3 +274,23 @@ class TestShotNoiseFloor:
 
     def test_never_below_absolute_floor(self):
         assert pt.shot_noise_floor(10**6, 10**6) == 1e-4
+
+
+# every finite double, with both signed zeros drawn often
+PART_ENTRIES = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    data=st.data(),
+)
+def test_matrix_parts_round_trip_bit_for_bit(tmp_path_factory, shape, data):
+    matrix = np.empty(shape, dtype=complex)
+    matrix.real = data.draw(arrays(float, shape, elements=PART_ENTRIES))
+    matrix.imag = data.draw(arrays(float, shape, elements=PART_ENTRIES))
+    path = tmp_path_factory.getbasetemp() / "parts.json"
+    pt.records.write_json(path, pt.records.matrix_to_parts(matrix))
+    back = pt.records.parts_to_matrix(pt.records.read_json(path), "matrix")
+    assert back.dtype == matrix.dtype and back.shape == matrix.shape
+    assert back.tobytes() == matrix.tobytes()

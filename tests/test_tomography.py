@@ -158,6 +158,27 @@ class TestCostKernel:
         with pytest.raises(pt.DegenerateParams):
             cost(np.zeros(9))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 5),
+        weighting=st.sampled_from(["inverse_variance", "uniform"]),
+    )
+    def test_gradient_matches_central_differences(self, seed, dim, weighting):
+        _, _, cost = random_kernel_case(seed, dim, weighting)
+        values = np.random.default_rng(seed).standard_normal(dim * dim)
+        f, grad = cost.value_and_grad(values)
+        # the value is the same computation as __call__, so the same bits
+        assert repr(f) == repr(cost(values))
+        step = 1e-6 * np.linalg.norm(values)
+        central = np.array([
+            (cost(values + step * e) - cost(values - step * e)) / (2.0 * step)
+            for e in np.eye(dim * dim)
+        ])
+        assert np.linalg.norm(grad - central) <= 1e-6 * np.linalg.norm(grad)
+        # eps is constant along the scale gauge, so the gradient is orthogonal to it
+        assert abs(values @ grad) <= 1e-12 * np.linalg.norm(values) * np.linalg.norm(grad)
+
 
 INVERSION_CASES = [("ladder", 5, kind) for kind in ("plain", "noiseless", "drift")] + [
     ("generic", dim, kind) for dim in range(1, 7) for kind in ("plain", "noiseless")
@@ -353,13 +374,32 @@ class TestReconstruct:
         # code or the cost that moves the search at all shows here
         record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
         result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=2))
-        assert repr(result.epsilon) == "0.00035226907343965475"
-        assert result.opt.evals == 6_000
-        assert result.opt.converged_by == "max_evals"
+        assert repr(result.epsilon) == "0.00034330173552157476"
+        assert result.opt.evals == 827
+        assert result.opt.converged_by == "xtol"
         assert [repr(float(f)) for f in result.opt.per_restart_f] == [
-            "0.00035226907343962986",
-            "0.016819120343108285",
+            "0.0003433017355215663",
         ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certificate_on_pi_half_records(self, ladder_model, pi_half_state, seed):
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=seed)
+        result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=20_000, restarts=4))
+        assert result.gap >= -1e-15
+        assert result.gap <= 1e-3 * result.epsilon
+
+    def test_budget_shared_by_both_stages(self, ladder_model, pi_half_state):
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
+        for budget in (1, 2, 50, 400):
+            result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=budget))
+            assert result.opt.evals <= max(budget, 2)
+
+    def test_restarts_and_seed_are_not_read(self, ladder_model, pi_half_state):
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
+        a = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=1, seed=0))
+        b = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=7, seed=9))
+        assert a.rho0.matrix.tobytes() == b.rho0.matrix.tobytes()
+        assert (a.epsilon, a.gap, a.opt.evals) == (b.epsilon, b.gap, b.opt.evals)
 
     def test_no_convergence_ceiling(self, ladder_model):
         rng = np.random.default_rng(11)
