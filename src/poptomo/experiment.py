@@ -181,7 +181,14 @@ def synthesize_record(rho_true, cfg):
 
 
 def config_to_dict(cfg):
-    """JSON-friendly dump of a config, Hamiltonian included."""
+    """JSON-friendly dump of a config, Hamiltonian included.
+
+    ``rabi_hz`` and ``detuning_noise_hz`` are written as x / 2pi and read
+    back as hz * 2pi, so a config built in Python reads back within one
+    ulp in those two fields: (x / 2pi) * 2pi != x for about 13% of
+    doubles.  A config that came from a file (x = 2pi * hz) reads back
+    exactly.
+    """
     h = cfg.hamiltonian
     if isinstance(h, Ladder5):
         ham = {

@@ -7,18 +7,26 @@ the initial density matrix is the minimizer of a weighted mean error
                                     / sum_j w_ij ),   w_ij = 1/sigma_ij^2
 
 where ``pbar_ij`` are the simulated populations of sublevel i at time
-t_j.  eps is convex in rho0.  The search runs in the unconstrained
-Cholesky-factor parameter space (every candidate is physical by
-construction), where a full factor leaves no spurious local minimum
-(Burer & Monteiro, Math. Program. 103, 427, 2005): BFGS on the analytic
-gradient from the weighted linear inversion, then a subplex polish.
-Each result carries the Frank-Wolfe gap, an upper bound on how far its
-error is above the minimum.  On top of single reconstructions this
-module provides the window-length convergence study and the
-dephasing-rate sweep.
+t_j.  eps is convex in rho0.
+
+The search runs over an unconstrained real parameterization of the
+state.  Any finite real vector of length n^2 fills a lower-triangular
+factor T (n real diagonal entries, then re/im pairs for the
+strictly-lower triangle, row-major) and the state is
+``rho = T^H T / Tr(T^H T)``: positive, Hermitian and of unit trace by
+construction.  The overall scale of the vector is a gauge freedom (``p``
+and ``c * p`` give the same state), which realizes the n^2 - 1 physical
+degrees of freedom with one redundant direction.  A full factor leaves
+no spurious local minimum (Burer & Monteiro, Math. Program. 103, 427,
+2005), so one search suffices: BFGS on the analytic gradient from the
+weighted linear inversion, then a subplex polish.  Each result carries the Frank-Wolfe
+gap, an upper bound on how far its error is above the minimum.  On top
+of single reconstructions this module provides the window-length
+convergence study and the dephasing-rate sweep.
 """
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -30,6 +38,7 @@ from .errors import (
     DegenerateParams,
     DimensionMismatch,
     EmptyWindow,
+    FactorizationFailure,
     GridMismatch,
     NoConvergence,
     PoptomoError,
@@ -43,9 +52,6 @@ from .dynamics import (
     uhlmann_fidelity,
 )
 from .optimize import OptResult, SubplexConfig, bfgs, multi_start
-from .parameterize import StateParams, factor_slots, params_to_rho, rho_to_params
-# bound here so that perfbench/tracing.py can count calls through this module
-from .parameterize import rho_matrix_from_values  # noqa: F401
 from .records import MeasurementRecord
 
 GRID_ATOL = 1e-12
@@ -54,6 +60,8 @@ MAX_GRID_STEPS = 1_000_000
 
 WEIGHT_INVERSE_VARIANCE = "inverse_variance"
 WEIGHT_UNIFORM = "uniform"
+
+RANK_JITTER = 1e-12
 
 
 def infer_grid_step(times):
@@ -125,15 +133,111 @@ class PopulationPredictor:
         return flat.reshape(self.times.size, self.dim).T
 
 
+@functools.cache
+def _factor_slots(dim):
+    """Float offset of each parameter inside the factor T.
+
+    T is a C-ordered complex (dim, dim) array viewed as floats (re, im
+    interleaved): the first dim parameters take the real slots of the
+    diagonal, then each strictly-lower entry, row-major, takes its real
+    and imaginary slots.  Cached per dimension, so read-only.
+    """
+    rows, cols = np.tril_indices(dim, -1)
+    lower = 2 * (rows * dim + cols)
+    slots = np.empty(dim * dim, dtype=np.intp)
+    slots[:dim] = 2 * np.arange(dim) * (dim + 1)
+    slots[dim::2] = lower
+    slots[dim + 1 :: 2] = lower + 1
+    slots.setflags(write=False)
+    return slots
+
+
+class _Factor:
+    """A reused buffer that is the factor T of one dimension."""
+
+    __slots__ = ("buffer", "T", "slots")
+
+    def __init__(self, dim):
+        self.buffer = np.zeros(2 * dim * dim)
+        self.T = self.buffer.view(complex).reshape(dim, dim)
+        self.slots = _factor_slots(dim)
+
+    def gram(self, values):
+        """(T^H T, |p|^2) with T the factor of ``values``.
+
+        |p|^2 is Tr(T^H T) because every parameter enters T exactly once.
+        """
+        norm = float(values @ values)
+        if norm < 1e-300:
+            raise DegenerateParams("all-zero parameter vector has no direction")
+        self.buffer[self.slots] = values
+        T = self.T
+        return T.conj().T.dot(T), norm
+
+
+@dataclass(frozen=True, eq=False)
+class StateParams:
+    """Real vector of length dim^2 encoding a density matrix."""
+
+    dim: int
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.asarray(self.values, dtype=float).ravel()
+        if v.size != self.dim * self.dim:
+            raise DimensionMismatch(
+                f"need {self.dim * self.dim} parameters for dim {self.dim}, got {v.size}"
+            )
+        if not np.all(np.isfinite(v)):
+            raise DegenerateParams("parameter vector contains non-finite entries")
+        object.__setattr__(self, "values", v)
+
+
+def rho_matrix_from_values(values, dim):
+    """Raw-array fast path: normalized T^H T without DensityMatrix checks."""
+    gram, norm = _Factor(dim).gram(values)
+    return gram / norm
+
+
+def params_to_rho(p):
+    """Map a parameter vector to its density matrix (total up to gauge)."""
+    return DensityMatrix(rho_matrix_from_values(p.values, p.dim))
+
+
+def rho_to_params(rho):
+    """Invert params_to_rho via a reverse-Cholesky factorization.
+
+    Finds lower-triangular T with positive diagonal and rho = T^H T by
+    flipping the basis, running a standard Cholesky, and flipping back.
+    Rank-deficient states get a RANK_JITTER * I nudge before retrying;
+    a second failure raises FactorizationFailure.
+    """
+    m = rho.matrix
+    dim = rho.dim
+    flipped = m[::-1, ::-1]
+    try:
+        L = np.linalg.cholesky(flipped)
+    except np.linalg.LinAlgError:
+        try:
+            L = np.linalg.cholesky(flipped + RANK_JITTER * np.eye(dim))
+        except np.linalg.LinAlgError:
+            raise FactorizationFailure(
+                "state is numerically indefinite even after diagonal jitter"
+            ) from None
+    T = np.ascontiguousarray(L[::-1, ::-1].conj().T)
+    values = T.view(float).reshape(-1)[_factor_slots(dim)]
+    return StateParams(dim=dim, values=values)
+
+
 class _WeightedCost:
     """Maps raw parameter vectors to the reconstruction error and its gradient.
 
     A fused real kernel.  At construction the predictor rows are permuted
     to C order, split into real and imaginary columns and scaled by
     sqrt(w_ij / sum_j w_ij), as are the targets.  Each evaluation then
-    scatters the parameters into a reused buffer that is the factor T,
-    forms G = T^H T and gets every weighted prediction from one real
-    gemv on G.view(float), divided by Tr(G) = |p|^2.
+    forms G = T^H T in a reused ``_Factor`` and gets every weighted
+    prediction from one real gemv on G.view(float), divided by
+    Tr(G) = |p|^2.
 
     The gradient reuses that residual r.  With dr the residual of each
     level over n times that level's norm, a = (dr @ rows) / |p|^2 is the
@@ -143,7 +247,7 @@ class _WeightedCost:
     of eps) contributes the zero subgradient.
     """
 
-    __slots__ = ("dim", "rows", "targets", "buffer", "factor", "slots")
+    __slots__ = ("dim", "rows", "targets", "factor")
 
     def __init__(self, predictor, record, weighting):
         n = predictor.dim
@@ -162,18 +266,7 @@ class _WeightedCost:
         self.rows = np.conjugate(columns, out=columns).view(float)
         self.rows *= scale[:, None]
         self.targets = record.means.T.reshape(-1) * scale
-        self.buffer = np.zeros(2 * n * n)
-        self.factor = self.buffer.view(complex).reshape(n, n)
-        self.slots = factor_slots(n)
-
-    def _gram(self, values):
-        """(T^H T, |p|^2) with T the factor of ``values``."""
-        norm = float(values @ values)
-        if norm < 1e-300:
-            raise DegenerateParams("all-zero parameter vector has no direction")
-        self.buffer[self.slots] = values
-        T = self.factor
-        return T.conj().T.dot(T), norm
+        self.factor = _Factor(n)
 
     def _residual(self, gram, norm):
         """Weighted residuals as (time, level) and the norm of each level's."""
@@ -218,17 +311,17 @@ class _WeightedCost:
         return float((lam - lam[0]) @ weights)
 
     def __call__(self, values):
-        return self._error(*self._gram(values))
+        return self._error(*self.factor.gram(values))
 
     def value_and_grad(self, values):
         """(eps, d eps / d values); eps is bit-equal to ``self(values)``."""
-        gram, norm = self._gram(values)
+        gram, norm = self.factor.gram(values)
         residual, level_norms = self._residual(gram, norm)
         a, gamma = self._gram_gradient(residual, level_norms, norm)
-        T = self.factor
+        T = self.factor.T
         shrink = 2.0 * float(a @ gram.view(float).reshape(-1)) / norm
         grad = T @ (gamma + gamma.conj().T) - shrink * T
-        return float(level_norms.sum() / self.dim), grad.view(float).reshape(-1)[self.slots]
+        return float(level_norms.sum() / self.dim), grad.view(float).reshape(-1)[self.factor.slots]
 
 
 def _check_record_model(record, model):

@@ -2,13 +2,17 @@
 
 Only ``records`` touches files: no other module imports ``json`` or ``csv``
 or calls ``open``.  The only ``expm`` in the package is the call inside
-``dynamics.make_propagator``.  No module imports ``scipy.optimize``.
+``dynamics.make_propagator``.  No module imports ``scipy.optimize``.  Every
+name that the benchmark's tracer wraps is bound in the module it looks in.
 """
 
 import ast
+import importlib.util
 import pathlib
+from types import SimpleNamespace
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "poptomo"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "poptomo"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -71,3 +75,29 @@ def test_no_module_imports_scipy_optimize():
     for path in sorted(SRC.glob("*.py")):
         _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
     assert found == []
+
+
+def test_tracer_wraps_and_restores_every_binding():
+    # perfbench/tracing.py replaces names in the modules that call them; a
+    # binding that moves or goes breaks the benchmark, which is not in testpaths
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from poptomo import cli, experiment, optimize, records, tomography
+
+    mods = SimpleNamespace(
+        cli=cli, experiment=experiment, optimize=optimize, records=records, tomography=tomography
+    )
+    before = {name: dict(vars(module)) for name, module in vars(mods).items()}
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(mods)
+        assert tomography.rho_matrix_from_values is not before["tomography"]["rho_matrix_from_values"]
+    finally:
+        tracer.uninstall()
+    for name, module in vars(mods).items():
+        after = vars(module)
+        assert after.keys() == before[name].keys()
+        assert [attr for attr, value in before[name].items() if after[attr] is not value] == []

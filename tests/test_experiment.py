@@ -260,8 +260,7 @@ class TestFileRoundTrips:
         write_json(path, config_to_dict(cfg))
         back = load_experiment_config(path)
         if isinstance(cfg.hamiltonian, pt.GenericHamiltonian):
-            # equal by value: a negative zero entry reads back as +0.0
-            np.testing.assert_array_equal(back.hamiltonian.entries, cfg.hamiltonian.entries)
+            assert back.hamiltonian.entries.tobytes() == cfg.hamiltonian.entries.tobytes()
             back = dataclasses.replace(back, hamiltonian=cfg.hamiltonian)
         assert back == cfg
 
@@ -278,7 +277,6 @@ class TestFileRoundTrips:
         else:
             make = oracles.random_density if kind == "mixed" else oracles.random_pure_density
             rho = pt.DensityMatrix(make(rng, dim))
-        # these states hold no negative zero, which the reader turns into +0.0
         path = tmp_path_factory.getbasetemp() / "state.json"
         save_state(rho, path)
         back = load_state_or_schedule(path)

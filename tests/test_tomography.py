@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -412,6 +413,65 @@ class TestReconstruct:
                 quick_subplex(max_evals=2_000, restarts=1),
                 epsilon_ceiling=1e-12,
             )
+
+
+class TestDiagonalStartFallback:
+    """A record whose linear inversion has no physical projection.
+
+    Level 1 reads 21 with a huge sigma and every other level -5 with a tiny
+    one: the weighted inversion has no positive eigenvalue, so every clipped
+    eigenvalue is 0 and ``reconstruct`` must start from ``_diagonal_start``.
+    """
+
+    @pytest.fixture
+    def record(self, ladder_model):
+        means = np.full((5, 16), -5.0)
+        means[0] = 21.0
+        sigmas = np.full((5, 16), 1e-4)
+        sigmas[0] = 1e3
+        record = pt.MeasurementRecord(
+            times=np.arange(16) * 1.16e-6, means=means, sigmas=sigmas
+        )
+        predictor = pt.PopulationPredictor(ladder_model, record.times)
+        assert tomography._linear_inversion_start(predictor, record) is None
+        return record
+
+    def test_reconstructs_from_the_diagonal_start(self, ladder_model, record, monkeypatch):
+        calls = []
+        original = tomography._diagonal_start
+
+        def diagonal_start(rec):
+            calls.append(rec)
+            return original(rec)
+
+        monkeypatch.setattr(tomography, "_diagonal_start", diagonal_start)
+        result = pt.reconstruct(record, ladder_model, epsilon_ceiling=math.inf)
+        assert calls == [record]
+        assert result.epsilon == pytest.approx(8.2445, rel=1e-4)
+        assert 0.0 <= result.gap <= 1e-12
+        assert result.opt.evals > 0
+
+    def test_default_ceiling_raises(self, ladder_model, record):
+        with pytest.raises(pt.NoConvergence):
+            pt.reconstruct(record, ladder_model)
+
+    def test_cli_exits_3(self, record, tmp_path):
+        from poptomo.cli import main
+
+        model = {
+            "hamiltonian": {"type": "ladder5", "rabi_hz": 60e3, "delta1": 3e3, "delta2": 11e3},
+            "gamma_hz": 375.0,
+        }
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        pt.save_record(record, tmp_path / "rec.csv")
+        code = main([
+            "reconstruct",
+            "--record", str(tmp_path / "rec.csv"),
+            "--model", str(tmp_path / "model.json"),
+            "--out", str(tmp_path / "result.json"),
+        ])
+        assert code == 3
+        assert not (tmp_path / "result.json").exists()
 
 
 class TestPreparePulseState:
