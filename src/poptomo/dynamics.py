@@ -16,7 +16,8 @@ Propagation uses the exact exponential of the vectorized generator
 exp(L*dt) itself, built once per grid so optimizer inner loops never
 pay for it.  The population predictor (prefix products over its grid),
 ``evolve`` (a matrix power) and the drifting-detuning record synthesis
-(one step per shot) all propagate through it.
+(one stacked step per time column, one slice per shot) all propagate
+through it.
 
 Basis ordering for the built-in five-level ladder is m_F = +2 ... -2,
 i.e. index 0 is the stretched m_F = +2 sublevel.
@@ -217,6 +218,26 @@ def lindblad_rhs(rho, model):
     return out
 
 
+def _generator(H, gamma):
+    """L for a Hamiltonian or a stack of them: (..., n, n) -> (..., n^2, n^2).
+
+    I (x) H and H^T (x) I are built by broadcasting over the leading axes,
+    with the same products as ``np.kron``, so each slice is bit for bit the
+    kron form; the -i, damping and later dt steps work in place.
+    """
+    n = H.shape[-1]
+    shape = H.shape[:-2] + (n * n, n * n)
+    eye = np.eye(n)
+    L = (eye[:, None, :, None] * H[..., None, :, None, :]).reshape(shape)
+    L -= (np.swapaxes(H, -1, -2)[..., :, None, :, None] * eye[:, None, :]).reshape(shape)
+    L *= -1j
+    if gamma != 0.0:
+        damp = np.full(n * n, -2.0 * gamma)
+        damp[np.arange(n) * (n + 1)] = 0.0
+        L += np.diag(damp)
+    return L
+
+
 def liouvillian_matrix(model):
     """Vectorized generator L (n^2 x n^2), column-stacking convention.
 
@@ -225,28 +246,36 @@ def liouvillian_matrix(model):
     dephasing part is diagonal: 0 on population slots, -2*gamma on
     coherence slots.
     """
-    H = build_hamiltonian(model.hamiltonian)
-    n = H.shape[0]
-    eye = np.eye(n)
-    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
-    if model.gamma != 0.0:
-        damp = np.full(n * n, -2.0 * model.gamma)
-        damp[np.arange(n) * (n + 1)] = 0.0
-        L += np.diag(damp)
-    return L
+    return _generator(build_hamiltonian(model.hamiltonian), model.gamma)
 
 
 def make_propagator(model, dt):
-    """The read-only n^2 x n^2 step exp(L*dt); reusable over a uniform grid."""
+    """The read-only step exp(L*dt); reusable over a uniform grid.
+
+    ``model`` is an EvolutionModel, for one n^2 x n^2 step, or a pair
+    ``(H, gamma)`` of an (m, n, n) stack of Hamiltonian matrices and the
+    rate they share, for an (m, n^2, n^2) stack of steps from one ``expm``
+    call.  SciPy runs the same algorithm on each slice, so slice i is bit
+    for bit the step of the model with Hamiltonian H[i].  A step that
+    comes out non-finite (a drive far too large for ``dt``) raises
+    NumericalDrift.
+    """
     if dt < 0.0:
         raise InvalidState(f"time step must be >= 0, got {dt}")
-    if dt == 0.0:
-        step = np.eye(model.dim**2, dtype=complex)
+    if isinstance(model, EvolutionModel):
+        H, gamma = build_hamiltonian(model.hamiltonian), model.gamma
     else:
-        generator = liouvillian_matrix(model) * dt
-        if not np.all(np.isfinite(generator)):
-            raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
-        step = expm(generator)
+        H, gamma = model
+    if dt == 0.0:
+        n2 = H.shape[-1] ** 2
+        return np.broadcast_to(np.eye(n2, dtype=complex), H.shape[:-2] + (n2, n2))
+    generator = _generator(H, gamma)
+    generator *= dt
+    if not np.all(np.isfinite(generator)):
+        raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
+    step = expm(generator)
+    if not np.all(np.isfinite(step)):
+        raise NumericalDrift(f"exp(L*dt) is not finite (dt = {dt}): drive or rate too large")
     step.setflags(write=False)
     return step
 

@@ -31,6 +31,7 @@ from .dynamics import (
     GenericHamiltonian,
     HamiltonianSpec,
     Ladder5,
+    build_hamiltonian,
     make_propagator,
     require_finite,
     vectorize,
@@ -112,24 +113,33 @@ class ExperimentConfig:
         return np.arange(self.n_samples) * self.sample_interval
 
 
-def _drift_populations(rho_true, cfg, rng):
+def _drift_populations(rho_true, model, cfg, rng):
     """Exact per-shot populations under quasi-static detuning offsets.
 
     Returns an array (repeats, n_times, n): every shot evolves under its
     own frozen offset, emulating a bias drift much slower than one run.
+    The shots of one time column share gamma and t, so their Hamiltonians
+    go to ``make_propagator`` as one stack: one ``expm`` call per column.
     """
-    h = cfg.hamiltonian
+    h = model.hamiltonian
     if not isinstance(h, Ladder5):
         raise ValidationError("detuning noise requires the 5-level ladder drive")
     times = cfg.times
     rho_vec = vectorize(rho_true.matrix)
     diagonal = np.arange(h.dim) * (h.dim + 1)
     offsets = rng.normal(0.0, cfg.detuning_noise, size=(cfg.repeats, times.size))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        d1, d2 = h.delta1 + offsets, h.delta2 + 2.0 * offsets
+    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+        raise ValidationError("a detuning offset drives delta1 or delta2 to a non-finite value")
+    # build_hamiltonian's diagonal (-delta2, -delta1, 0, delta1, delta2), shot by shot
+    shifted = np.stack([-d2, -d1, d1, d2], axis=-1)
+    detuned = [0, 1, 3, 4]
+    stack = np.repeat(build_hamiltonian(h)[None], cfg.repeats, axis=0)
     out = np.empty((cfg.repeats, times.size, h.dim))
-    for (k, j), xi in np.ndenumerate(offsets):
-        shifted = Ladder5(h.rabi_omega, h.delta1 + xi, h.delta2 + 2.0 * xi)
-        model = EvolutionModel(hamiltonian=shifted, gamma=cfg.gamma)
-        out[k, j] = (make_propagator(model, times[j])[diagonal] @ rho_vec).real
+    for j, t in enumerate(times):
+        stack[:, detuned, detuned] = shifted[:, j]
+        out[:, j] = (make_propagator((stack, model.gamma), t)[:, diagonal] @ rho_vec).real
     return out
 
 
@@ -149,13 +159,13 @@ def synthesize_record(rho_true, cfg):
     rng = np.random.default_rng(cfg.rng_seed)
     floor = shot_noise_floor(cfg.repeats, cfg.atoms_per_shot)
     drift = cfg.detuning_noise > 0.0
+    model = EvolutionModel(hamiltonian=cfg.hamiltonian, gamma=cfg.gamma)
 
     # per-shot populations, axes in the order the shots are drawn:
     # (repeat, time, level) under drift, (time, repeat, level) otherwise
     if drift:
-        shots = _drift_populations(rho_true, cfg, rng)
+        shots = _drift_populations(rho_true, model, cfg, rng)
     else:
-        model = EvolutionModel(hamiltonian=cfg.hamiltonian, gamma=cfg.gamma)
         exact = PopulationPredictor(model, times).populations(vectorize(rho_true.matrix))
         shots = np.broadcast_to(exact.T[:, None, :], (times.size, cfg.repeats, exact.shape[0]))
     if not cfg.noiseless:

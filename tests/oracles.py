@@ -78,6 +78,23 @@ def classical_fidelity(a, b):
     return float(np.sqrt(np.asarray(a) * np.asarray(b)).sum() ** 2)
 
 
+def kron_liouvillian(H, gamma):
+    """-i(I (x) H - H^T (x) I) plus the diagonal dephasing, through np.kron.
+
+    The generator's kron form, with -i applied to the difference and the
+    damping added after it: the package's broadcast build must match it
+    byte for byte, signed zeros included.
+    """
+    n = H.shape[0]
+    eye = np.eye(n)
+    L = -1j * (np.kron(eye, H) - np.kron(H.T, eye))
+    if gamma != 0.0:
+        damp = np.full(n * n, -2.0 * gamma)
+        damp[np.arange(n) * (n + 1)] = 0.0
+        L += np.diag(damp)
+    return L
+
+
 def unitary_channel_matrix(H, dt):
     """conj(U) (x) U for column-stacked vec, via eigendecomposition of H."""
     w, v = np.linalg.eigh(H)

@@ -266,6 +266,23 @@ def test_numerical_failure_exits_3(workspace, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("where, field", [("hamiltonian", "rabi_hz"), (None, "detuning_noise_hz")])
+def test_overflowing_drive_exits_3(workspace, capsys, where, field):
+    # finite inputs whose step exp(L*dt) overflows to NaN
+    config = json.loads(workspace["config"].read_text())
+    (config[where] if where else config)[field] = 1e100
+    workspace["config"].write_text(json.dumps(config))
+    code = run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    )
+    assert code == 3
+    assert "dt = " in capsys.readouterr().err
+    assert not workspace["record"].exists()
+
+
 def test_bad_range_syntax_exits_2(workspace, tmp_path):
     assert run_cli(
         "simulate",

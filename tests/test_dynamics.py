@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poptomo as pt
 import oracles
@@ -139,6 +141,36 @@ class TestLindbladRhs:
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
 
+SIGNED_ZERO = st.sampled_from([0.0, -0.0])
+ENTRY = st.one_of(SIGNED_ZERO, st.floats(-1e100, 1e100))
+RATE = st.one_of(SIGNED_ZERO, st.floats(0.0, 1e4))
+
+
+@st.composite
+def evolution_models(draw):
+    """Ladder5 or generic Hermitian drives whose entries include +-0.0, at gamma = 0 or > 0."""
+    gamma = draw(RATE)
+    if draw(st.booleans()):
+        return pt.EvolutionModel(pt.Ladder5(draw(ENTRY), draw(ENTRY), draw(ENTRY)), gamma)
+    n = draw(st.integers(1, 5))
+    m = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        m[i, i] = complex(draw(ENTRY), draw(SIGNED_ZERO))
+        for j in range(i + 1, n):
+            m[i, j] = complex(draw(ENTRY), draw(ENTRY))
+            m[j, i] = np.conj(m[i, j])
+    return pt.EvolutionModel(pt.GenericHamiltonian(m), gamma)
+
+
+@settings(max_examples=400, deadline=None)
+@given(model=evolution_models())
+def test_liouvillian_is_the_kron_form_bytewise(model):
+    want = oracles.kron_liouvillian(pt.build_hamiltonian(model.hamiltonian), model.gamma)
+    got = pt.liouvillian_matrix(model)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestMakePropagator:
     def test_two_level_dephasing_analytic(self):
         model = pt.EvolutionModel(
@@ -174,6 +206,42 @@ class TestMakePropagator:
         assert step.flags.writeable is False
         with pytest.raises(ValueError):
             step[0, 0] = 0.0
+
+    def test_non_finite_step_raises_numerical_drift(self):
+        # a finite generator whose exponential overflows: expm returns NaN without raising
+        model = pt.EvolutionModel(pt.Ladder5(1e50, 0.0, 0.0))
+        with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
+            pt.make_propagator(model, 1.16e-6)
+        stack = np.stack(
+            [pt.build_hamiltonian(pt.Ladder5(1.0, 0.0, 0.0)), pt.build_hamiltonian(model.hamiltonian)]
+        )
+        with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
+            pt.make_propagator((stack, 0.0), 1.16e-6)
+
+
+class TestStackedPropagator:
+    @pytest.mark.parametrize("dt", [0.0, 0.37e-6, 1.16e-6])
+    @pytest.mark.parametrize("gamma", [0.0, 375.0])
+    def test_slices_are_the_scalar_steps_bytewise(self, ladder, dt, gamma):
+        rng = np.random.default_rng(21)
+        specs = [
+            pt.Ladder5(ladder.rabi_omega, ladder.delta1 + xi, ladder.delta2 + 2.0 * xi)
+            for xi in rng.normal(0.0, TWO_PI * 10e3, size=6)
+        ]
+        # a diagonal drive takes expm's diagonal shortcut; a generic one has no zeros
+        specs.append(pt.Ladder5(0.0, -ladder.delta1, 0.0))
+        specs.append(pt.GenericHamiltonian(oracles.random_hermitian(rng, 5, TWO_PI * 40e3)))
+        stack = np.stack([pt.build_hamiltonian(spec) for spec in specs])
+        steps = pt.make_propagator((stack, gamma), dt)
+        assert steps.shape == (len(specs), 25, 25)
+        for spec, step in zip(specs, steps):
+            scalar = pt.make_propagator(pt.EvolutionModel(spec, gamma), dt)
+            assert step.tobytes() == scalar.tobytes()
+        if dt == 0.0:
+            np.testing.assert_array_equal(steps, np.broadcast_to(np.eye(25), steps.shape))
+        assert steps.flags.writeable is False
+        with pytest.raises(ValueError):
+            steps[0, 0, 0] = 0.0
 
 
 class TestEvolve:

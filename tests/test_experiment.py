@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,11 @@ SAMPLER_CASES = {
         {"detuning_noise": TWO_PI * 10e3, "n_samples": 20, "repeats": 4, "noiseless": True},
     ),
     "generic_dim3": (3, {"n_samples": 24, "sample_interval": 0.73e-6}),
+    "drift_gamma0": (
+        5,
+        {"detuning_noise": TWO_PI * 10e3, "n_samples": 20, "repeats": 4, "gamma": 0.0},
+    ),
+    "drift_one_repeat": (5, {"detuning_noise": TWO_PI * 10e3, "n_samples": 20, "repeats": 1}),
 }
 
 
@@ -157,12 +163,39 @@ def test_sampler_matches_reference_loops(case, ladder):
     else:
         hamiltonian = pt.GenericHamiltonian(oracles.random_hermitian(rng, dim, TWO_PI * 40e3))
     rho = pt.DensityMatrix(oracles.random_density(rng, dim))
-    cfg = pt.ExperimentConfig(hamiltonian=hamiltonian, gamma=375.0, rng_seed=12, **kwargs)
+    cfg = pt.ExperimentConfig(hamiltonian=hamiltonian, **{"gamma": 375.0, "rng_seed": 12, **kwargs})
     record = pt.synthesize_record(rho, cfg)
     means, sigmas = oracles.reference_record(rho, cfg)
     for got, want in ((record.means, means), (record.sigmas, sigmas)):
         np.testing.assert_array_equal(got, want)
         assert got.flags.f_contiguous
+
+
+def test_non_finite_shifted_detuning_rejected(ladder):
+    # offsets of order 1e308 overflow delta1 + xi or delta2 + 2 xi for some shot
+    cfg = pt.ExperimentConfig(hamiltonian=ladder, detuning_noise=1e308, rng_seed=3)
+    with pytest.raises(pt.ValidationError, match="non-finite"):
+        pt.synthesize_record(pt.DensityMatrix.basis_state(5, 0), cfg)
+
+
+def test_drift_synthesis_peak_memory(ladder, pi_half_state):
+    """Drift synthesis at the benchmark's shape (87 points x 25 repeats) allocates under 2 MB.
+
+    One stacked step per time column peaks near 1 MB; a stack per repeat
+    (87 slices) measured 5.95 MB, and one stack over the whole record
+    raised the benchmark's peak RSS from 64 to 125 MB.
+    """
+    cfg = pt.ExperimentConfig(
+        hamiltonian=ladder, n_samples=87, repeats=25, detuning_noise=TWO_PI * 10e3, rng_seed=9
+    )
+    pt.synthesize_record(pi_half_state, cfg)  # lazy imports and caches allocate once
+    tracemalloc.start()
+    try:
+        pt.synthesize_record(pi_half_state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 class TestPreparation:
