@@ -14,10 +14,12 @@ Propagation uses the exact exponential of the vectorized generator
 (column-stacking convention, so ``L = -i(I (x) H - H^T (x) I) + D``).
 ``make_propagator`` holds the only ``expm`` and returns the step
 exp(L*dt) itself, built once per grid so optimizer inner loops never
-pay for it.  The population predictor (prefix products over its grid),
-``evolve`` (a matrix power) and the drifting-detuning record synthesis
-(one stacked step per time column, one slice per shot) all propagate
-through it.
+pay for it.  The population predictor (prefix products over its grid)
+and ``evolve`` (a matrix power) propagate through it.  The
+drifting-detuning record synthesis does too when gamma > 0 (one stacked
+step per time column, one slice per shot); at gamma = 0 the step is
+unitary, and ``unitary_populations`` reads each time column's
+populations off one batched ``eigh`` of the shots' drives instead.
 
 Basis ordering for the built-in five-level ladder is m_F = +2 ... -2,
 i.e. index 0 is the stretched m_F = +2 sublevel.
@@ -278,6 +280,43 @@ def make_propagator(model, dt):
         raise NumericalDrift(f"exp(L*dt) is not finite (dt = {dt}): drive or rate too large")
     step.setflags(write=False)
     return step
+
+
+# Largest drive phase max|lambda|*t that ``unitary_populations`` accepts.
+# A float phase carries a rounding error of |lambda*t| * 2**-53, and eigh's
+# eigenvalues one of the same order, so up to 1e8 rad the populations stay
+# within about 1e-8, the roundoff EVOLVE_TRACE_ATOL already allows a
+# propagated state.  Far beyond it cos and sin return finite noise where
+# expm would overflow to NaN, so the bound is checked explicitly.
+MAX_UNITARY_PHASE = 1e8
+
+
+def unitary_populations(H, rho, t):
+    """Populations diag(U rho U^H), U = exp(-iHt), for an (m, n, n) stack of drives.
+
+    ``H`` holds Hermitian (here real-symmetric) Hamiltonians sharing the
+    time ``t`` and ``rho`` is an n x n density matrix; the result is
+    (m, n).  One batched ``eigh`` gives U = V exp(-i Lambda t) V^H, the
+    well-conditioned exponential of a Hermitian matrix, so this is the
+    gamma = 0 step without ``expm``.  At t = 0 every row is exactly
+    diag(rho).  A non-finite eigenvalue, or a phase max|lambda|*t beyond
+    MAX_UNITARY_PHASE, raises NumericalDrift.
+    """
+    if t == 0.0:
+        return np.broadcast_to(np.diagonal(rho).real, H.shape[:-1])
+    if not np.all(np.isfinite(H)):
+        raise ValidationError(f"non-finite drive or time step (dt = {t})")
+    w, v = np.linalg.eigh(H)
+    with np.errstate(over="ignore"):  # an overflowing phase is reported just below
+        phase = w * t
+    peak = np.abs(phase).max()
+    if not peak <= MAX_UNITARY_PHASE:
+        raise NumericalDrift(
+            f"drive phase max|lambda|*t = {peak:.3e} rad exceeds {MAX_UNITARY_PHASE:.0e} "
+            f"(dt = {t}): drive too large"
+        )
+    u = (v * np.exp(-1j * phase)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return ((u @ rho) * u.conj()).sum(axis=-1).real
 
 
 def vectorize(matrix):

@@ -34,6 +34,7 @@ from .dynamics import (
     build_hamiltonian,
     make_propagator,
     require_finite,
+    unitary_populations,
     vectorize,
 )
 from .records import (
@@ -119,7 +120,9 @@ def _drift_populations(rho_true, model, cfg, rng):
     Returns an array (repeats, n_times, n): every shot evolves under its
     own frozen offset, emulating a bias drift much slower than one run.
     The shots of one time column share gamma and t, so their Hamiltonians
-    go to ``make_propagator`` as one stack: one ``expm`` call per column.
+    go out as one stack per column: at gamma = 0 to ``unitary_populations``
+    (one batched ``eigh`` of the real drives), otherwise to
+    ``make_propagator`` (one stacked ``expm``).
     """
     h = model.hamiltonian
     if not isinstance(h, Ladder5):
@@ -135,11 +138,16 @@ def _drift_populations(rho_true, model, cfg, rng):
     # build_hamiltonian's diagonal (-delta2, -delta1, 0, delta1, delta2), shot by shot
     shifted = np.stack([-d2, -d1, d1, d2], axis=-1)
     detuned = [0, 1, 3, 4]
-    stack = np.repeat(build_hamiltonian(h)[None], cfg.repeats, axis=0)
+    unitary = model.gamma == 0.0
+    ladder = build_hamiltonian(h)
+    stack = np.repeat((ladder.real if unitary else ladder)[None], cfg.repeats, axis=0)
     out = np.empty((cfg.repeats, times.size, h.dim))
     for j, t in enumerate(times):
         stack[:, detuned, detuned] = shifted[:, j]
-        out[:, j] = (make_propagator((stack, model.gamma), t)[:, diagonal] @ rho_vec).real
+        if unitary:
+            out[:, j] = unitary_populations(stack, rho_true.matrix, t)
+        else:
+            out[:, j] = (make_propagator((stack, model.gamma), t)[:, diagonal] @ rho_vec).real
     return out
 
 

@@ -266,10 +266,21 @@ def test_numerical_failure_exits_3(workspace, tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("where, field", [("hamiltonian", "rabi_hz"), (None, "detuning_noise_hz")])
-def test_overflowing_drive_exits_3(workspace, capsys, where, field):
-    # finite inputs whose step exp(L*dt) overflows to NaN
+@pytest.mark.parametrize(
+    "where, field, unitary_drift",
+    [
+        pytest.param("hamiltonian", "rabi_hz", False, id="hamiltonian-rabi_hz"),
+        pytest.param(None, "detuning_noise_hz", False, id="None-detuning_noise_hz"),
+        pytest.param("hamiltonian", "rabi_hz", True, id="gamma0-drift-hamiltonian-rabi_hz"),
+        pytest.param(None, "detuning_noise_hz", True, id="gamma0-drift-None-detuning_noise_hz"),
+    ],
+)
+def test_overflowing_drive_exits_3(workspace, capsys, where, field, unitary_drift):
+    # finite inputs whose step exp(L*dt) overflows to NaN, or, for a drift
+    # record at gamma = 0, whose eigenbasis phase is far beyond float accuracy
     config = json.loads(workspace["config"].read_text())
+    if unitary_drift:
+        config.update(gamma_hz=0.0, detuning_noise_hz=10e3)
     (config[where] if where else config)[field] = 1e100
     workspace["config"].write_text(json.dumps(config))
     code = run_cli(

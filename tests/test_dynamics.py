@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import poptomo as pt
 import oracles
+from poptomo.dynamics import unitary_populations
 
 TWO_PI = 2.0 * np.pi
 
@@ -242,6 +243,69 @@ class TestStackedPropagator:
         assert steps.flags.writeable is False
         with pytest.raises(ValueError):
             steps[0, 0, 0] = 0.0
+
+
+ANGULAR_DRIVE = st.floats(-TWO_PI * 100e3, TWO_PI * 100e3)
+
+
+@st.composite
+def shifted_ladder_stacks(draw):
+    """Real (m, 5, 5) stacks of one Ladder5 drive under common-mode detuning offsets.
+
+    The Rabi frequency may be exactly 0, the diagonal drive.
+    """
+    rabi = draw(st.one_of(st.just(0.0), ANGULAR_DRIVE))
+    d1, d2 = draw(ANGULAR_DRIVE), draw(ANGULAR_DRIVE)
+    offsets = draw(st.lists(ANGULAR_DRIVE, min_size=1, max_size=8))
+    return np.stack(
+        [pt.build_hamiltonian(pt.Ladder5(rabi, d1 + xi, d2 + 2.0 * xi)).real for xi in offsets]
+    )
+
+
+class TestUnitaryPopulations:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stack=shifted_ladder_stacks(),
+        seed=st.integers(0, 2**32 - 1),
+        pure=st.booleans(),
+        t=st.one_of(st.just(0.0), st.floats(0.0, 1e-4)),
+    )
+    def test_matches_the_stacked_expm_rows(self, stack, seed, pure, t):
+        rng = np.random.default_rng(seed)
+        rho = oracles.random_pure_density(rng, 5) if pure else oracles.random_density(rng, 5)
+        diagonal = np.arange(5) * 6
+        steps = pt.make_propagator((stack.astype(complex), 0.0), t)
+        want = (steps[:, diagonal] @ pt.vectorize(rho)).real
+        got = unitary_populations(stack, rho, t)
+        assert got.shape == want.shape
+        if t == 0.0:
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pt.Ladder5(1e50, 0.0, 0.0),  # finite eigenvalues, a meaningless phase
+            pt.Ladder5(1.4e308, 0.0, 0.0),  # eigh returns infinite eigenvalues
+            pt.Ladder5(0.0, 1e100, 0.0),  # the diagonal drive
+        ],
+        ids=["huge_rabi", "infinite_eigenvalue", "diagonal"],
+    )
+    def test_overflowing_phase_raises_numerical_drift(self, spec):
+        stack = np.stack(
+            [pt.build_hamiltonian(pt.Ladder5(1.0, 0.0, 0.0)), pt.build_hamiltonian(spec)]
+        ).real
+        rho = pt.DensityMatrix.maximally_mixed(5).matrix
+        with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
+            unitary_populations(stack, rho, 1.16e-6)
+        np.testing.assert_array_equal(unitary_populations(stack, rho, 0.0), np.full((2, 5), 0.2))
+
+    def test_non_finite_drive_rejected(self):
+        # sqrt(3/2) * Omega overflows to inf, on which eigh would not converge
+        stack = pt.build_hamiltonian(pt.Ladder5(1.6e308, 0.0, 0.0)).real[None]
+        with pytest.raises(pt.ValidationError, match=r"dt = 1\.16e-06"):
+            unitary_populations(stack, np.eye(5) / 5, 1.16e-6)
 
 
 class TestEvolve:

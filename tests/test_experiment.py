@@ -147,6 +147,10 @@ SAMPLER_CASES = {
         {"detuning_noise": TWO_PI * 10e3, "n_samples": 20, "repeats": 4, "gamma": 0.0},
     ),
     "drift_one_repeat": (5, {"detuning_noise": TWO_PI * 10e3, "n_samples": 20, "repeats": 1}),
+    "drift_gamma0_benchmark_shape": (
+        5,
+        {"detuning_noise": TWO_PI * 10e3, "n_samples": 87, "repeats": 25, "gamma": 0.0},
+    ),
 }
 
 
@@ -171,6 +175,30 @@ def test_sampler_matches_reference_loops(case, ladder):
         assert got.flags.f_contiguous
 
 
+def test_noiseless_unitary_drift_record_within_rounding(ladder):
+    """At gamma = 0 the drift populations come from eigh, not expm.
+
+    The noiseless record then differs from the per-shot expm loop by
+    rounding alone, and its t = 0 column not at all.
+    """
+    rng = np.random.default_rng(11)
+    rho = pt.DensityMatrix(oracles.random_density(rng, 5))
+    cfg = pt.ExperimentConfig(
+        hamiltonian=ladder,
+        gamma=0.0,
+        detuning_noise=TWO_PI * 10e3,
+        n_samples=87,
+        repeats=25,
+        noiseless=True,
+        rng_seed=12,
+    )
+    record = pt.synthesize_record(rho, cfg)
+    means, sigmas = oracles.reference_record(rho, cfg)
+    np.testing.assert_allclose(record.means, means, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(record.sigmas, sigmas, rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(record.means[:, 0], means[:, 0])
+
+
 def test_non_finite_shifted_detuning_rejected(ladder):
     # offsets of order 1e308 overflow delta1 + xi or delta2 + 2 xi for some shot
     cfg = pt.ExperimentConfig(hamiltonian=ladder, detuning_noise=1e308, rng_seed=3)
@@ -178,15 +206,22 @@ def test_non_finite_shifted_detuning_rejected(ladder):
         pt.synthesize_record(pt.DensityMatrix.basis_state(5, 0), cfg)
 
 
-def test_drift_synthesis_peak_memory(ladder, pi_half_state):
+@pytest.mark.parametrize("gamma", [0.0, 375.0])
+def test_drift_synthesis_peak_memory(ladder, pi_half_state, gamma):
     """Drift synthesis at the benchmark's shape (87 points x 25 repeats) allocates under 2 MB.
 
-    One stacked step per time column peaks near 1 MB; a stack per repeat
-    (87 slices) measured 5.95 MB, and one stack over the whole record
-    raised the benchmark's peak RSS from 64 to 125 MB.
+    Both paths work one time column at a time: the stacked step (gamma > 0)
+    peaks near 1 MB, the eigenbasis (gamma = 0) near 0.4 MB.  A stack per
+    repeat (87 slices) measured 5.95 MB, and one stack over the whole
+    record raised the benchmark's peak RSS from 64 to 125 MB.
     """
     cfg = pt.ExperimentConfig(
-        hamiltonian=ladder, n_samples=87, repeats=25, detuning_noise=TWO_PI * 10e3, rng_seed=9
+        hamiltonian=ladder,
+        gamma=gamma,
+        n_samples=87,
+        repeats=25,
+        detuning_noise=TWO_PI * 10e3,
+        rng_seed=9,
     )
     pt.synthesize_record(pi_half_state, cfg)  # lazy imports and caches allocate once
     tracemalloc.start()
