@@ -22,7 +22,7 @@ from .experiment import (
 )
 from .optimize import SimplexConfig, SubplexConfig
 from .records import load_record, save_record, sidecar_path, write_csv, write_json
-from .tomography import EvolutionModel, convergence_study, reconstruct, sweep_gamma
+from .tomography import EPSILON_CEILING, EvolutionModel, convergence_study, reconstruct, sweep_gamma
 
 
 def _parse_range(text):
@@ -50,15 +50,21 @@ def _subplex_config(args):
 
 def _add_opt_flags(parser):
     parser.add_argument(
-        "--seed", type=int, default=0, help="accepted but unused: the solve has no random start"
+        "--seed",
+        type=int,
+        default=SubplexConfig.rng_seed,
+        help="accepted but unused: the solve has no random start",
     )
     parser.add_argument(
-        "--restarts", type=int, default=32, help="accepted but unused: the solve has no restarts"
+        "--restarts",
+        type=int,
+        default=SubplexConfig.restarts,
+        help="accepted but unused: the solve has no restarts",
     )
     parser.add_argument(
         "--max-evals",
         type=int,
-        default=200_000,
+        default=SimplexConfig.max_evals,
         help="total evaluation budget of one reconstruction (BFGS and polish together)",
     )
 
@@ -195,7 +201,7 @@ def build_parser():
     p.add_argument(
         "--epsilon-ceiling",
         type=float,
-        default=1.0,
+        default=EPSILON_CEILING,
         help="fail (exit 3) if the best error stays above this",
     )
     _add_opt_flags(p)

@@ -15,11 +15,10 @@ Propagation uses the exact exponential of the vectorized generator
 ``make_propagator`` holds the only ``expm`` and returns the step
 exp(L*dt) itself, built once per grid so optimizer inner loops never
 pay for it.  The population predictor (prefix products over its grid)
-and ``evolve`` (a matrix power) propagate through it.  The
-drifting-detuning record synthesis does too when gamma > 0 (one stacked
-step per time column, one slice per shot); at gamma = 0 the step is
-unitary, and ``unitary_populations`` reads each time column's
-populations off one batched ``eigh`` of the shots' drives instead.
+and ``evolve`` (a matrix power) propagate through it.  Detuning-drift
+synthesis goes through ``drive_populations``, which reads a stack of
+drives' populations off one stacked step when gamma > 0, and off one
+batched ``eigh`` at gamma = 0, where the step is unitary.
 
 Basis ordering for the built-in five-level ladder is m_F = +2 ... -2,
 i.e. index 0 is the stretched m_F = +2 sublevel.
@@ -129,7 +128,7 @@ class Ladder5:
     ``delta1``/``delta2`` the inner/outer sublevel detunings, all angular
     (rad/s).  The matrix couples neighbouring m_F sublevels with
     amplitudes Omega and sqrt(3/2)*Omega and carries the detunings on
-    the diagonal as (-delta2, -delta1, 0, +delta1, +delta2).
+    the diagonal as ``ladder_diagonal`` lays them out.
     """
 
     rabi_omega: float
@@ -165,22 +164,21 @@ class GenericHamiltonian:
 HamiltonianSpec = Union[Ladder5, GenericHamiltonian]
 
 
+def ladder_diagonal(delta1, delta2):
+    """Ladder5's diagonal (-delta2, -delta1, 0, delta1, delta2), broadcast to (..., 5)."""
+    d1, d2 = np.broadcast_arrays(np.asarray(delta1, float), np.asarray(delta2, float))
+    return np.stack([-d2, -d1, np.zeros(d1.shape), d1, d2], axis=-1)
+
+
 def build_hamiltonian(spec):
     """Return H/hbar as an n x n complex matrix of angular frequencies."""
     if isinstance(spec, Ladder5):
         w = spec.rabi_omega
         ws = math.sqrt(1.5) * w
-        d1, d2 = spec.delta1, spec.delta2
-        return np.array(
-            [
-                [-d2, w, 0.0, 0.0, 0.0],
-                [w, -d1, ws, 0.0, 0.0],
-                [0.0, ws, 0.0, ws, 0.0],
-                [0.0, 0.0, ws, d1, w],
-                [0.0, 0.0, 0.0, w, d2],
-            ],
-            dtype=complex,
-        )
+        H = np.diag(ladder_diagonal(spec.delta1, spec.delta2)).astype(complex)
+        k = np.arange(4)
+        H[k, k + 1] = H[k + 1, k] = (w, ws, ws, w)
+        return H
     if isinstance(spec, GenericHamiltonian):
         return spec.entries.copy()
     raise TypeError(f"unsupported Hamiltonian spec: {type(spec).__name__}")
@@ -282,7 +280,7 @@ def make_propagator(model, dt):
     return step
 
 
-# Largest drive phase max|lambda|*t that ``unitary_populations`` accepts.
+# Largest drive phase max|lambda|*t that ``drive_populations`` accepts at gamma = 0.
 # A float phase carries a rounding error of |lambda*t| * 2**-53, and eigh's
 # eigenvalues one of the same order, so up to 1e8 rad the populations stay
 # within about 1e-8, the roundoff EVOLVE_TRACE_ATOL already allows a
@@ -291,19 +289,22 @@ def make_propagator(model, dt):
 MAX_UNITARY_PHASE = 1e8
 
 
-def unitary_populations(H, rho, t):
-    """Populations diag(U rho U^H), U = exp(-iHt), for an (m, n, n) stack of drives.
+def drive_populations(H, gamma, rho, t):
+    """(m, n) populations of ``rho`` at time ``t`` under an (m, n, n) stack of real drives.
 
-    ``H`` holds Hermitian (here real-symmetric) Hamiltonians sharing the
-    time ``t`` and ``rho`` is an n x n density matrix; the result is
-    (m, n).  One batched ``eigh`` gives U = V exp(-i Lambda t) V^H, the
-    well-conditioned exponential of a Hermitian matrix, so this is the
-    gamma = 0 step without ``expm``.  At t = 0 every row is exactly
-    diag(rho).  A non-finite eigenvalue, or a phase max|lambda|*t beyond
-    MAX_UNITARY_PHASE, raises NumericalDrift.
+    At t = 0 every row is exactly diag(rho).  At gamma > 0 the rows are the
+    population rows of one stacked ``make_propagator`` step.  At gamma = 0
+    one batched ``eigh`` gives U = V exp(-i Lambda t) V^T, the
+    well-conditioned exponential of a Hermitian matrix, with no ``expm``; a
+    non-finite eigenvalue, or a phase max|lambda|*t beyond MAX_UNITARY_PHASE,
+    raises NumericalDrift there.
     """
     if t == 0.0:
         return np.broadcast_to(np.diagonal(rho).real, H.shape[:-1])
+    if gamma != 0.0:
+        n = H.shape[-1]
+        steps = make_propagator((H.astype(complex), gamma), t)
+        return (steps[..., np.arange(n) * (n + 1), :] @ vectorize(rho)).real
     if not np.all(np.isfinite(H)):
         raise ValidationError(f"non-finite drive or time step (dt = {t})")
     w, v = np.linalg.eigh(H)

@@ -32,9 +32,9 @@ from .dynamics import (
     HamiltonianSpec,
     Ladder5,
     build_hamiltonian,
-    make_propagator,
+    drive_populations,
+    ladder_diagonal,
     require_finite,
-    unitary_populations,
     vectorize,
 )
 from .records import (
@@ -62,12 +62,12 @@ BASIS_STATE_NAMES = {
 }
 
 
-def basis_state_index(name, dim=5):
-    """Resolve a named sublevel ('mF=+2' ... 'mF=-2') or integer index."""
-    if dim == 5 and isinstance(name, str) and name in BASIS_STATE_NAMES:
+def basis_state_index(name):
+    """Resolve a named ladder sublevel ('mF=+2' ... 'mF=-2') or integer index."""
+    if isinstance(name, str) and name in BASIS_STATE_NAMES:
         return BASIS_STATE_NAMES[name]
-    if isinstance(name, bool) or not isinstance(name, int) or not 0 <= name < dim:
-        raise ValidationError(f"unknown basis state {name!r} for dim {dim}")
+    if isinstance(name, bool) or not isinstance(name, int) or not 0 <= name < Ladder5.dim:
+        raise ValidationError(f"unknown basis state {name!r} for dim {Ladder5.dim}")
     return name
 
 
@@ -119,35 +119,25 @@ def _drift_populations(rho_true, model, cfg, rng):
 
     Returns an array (repeats, n_times, n): every shot evolves under its
     own frozen offset, emulating a bias drift much slower than one run.
-    The shots of one time column share gamma and t, so their Hamiltonians
-    go out as one stack per column: at gamma = 0 to ``unitary_populations``
-    (one batched ``eigh`` of the real drives), otherwise to
-    ``make_propagator`` (one stacked ``expm``).
+    The shots of one time column share gamma and t, so their drives go to
+    ``drive_populations`` as one stack per column.
     """
     h = model.hamiltonian
     if not isinstance(h, Ladder5):
         raise ValidationError("detuning noise requires the 5-level ladder drive")
     times = cfg.times
-    rho_vec = vectorize(rho_true.matrix)
-    diagonal = np.arange(h.dim) * (h.dim + 1)
     offsets = rng.normal(0.0, cfg.detuning_noise, size=(cfg.repeats, times.size))
     with np.errstate(over="ignore"):  # an overflow is reported just below
         d1, d2 = h.delta1 + offsets, h.delta2 + 2.0 * offsets
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
         raise ValidationError("a detuning offset drives delta1 or delta2 to a non-finite value")
-    # build_hamiltonian's diagonal (-delta2, -delta1, 0, delta1, delta2), shot by shot
-    shifted = np.stack([-d2, -d1, d1, d2], axis=-1)
-    detuned = [0, 1, 3, 4]
-    unitary = model.gamma == 0.0
-    ladder = build_hamiltonian(h)
-    stack = np.repeat((ladder.real if unitary else ladder)[None], cfg.repeats, axis=0)
+    diagonals = ladder_diagonal(d1, d2)
+    stack = np.repeat(build_hamiltonian(h).real[None], cfg.repeats, axis=0)
+    levels = np.arange(h.dim)
     out = np.empty((cfg.repeats, times.size, h.dim))
     for j, t in enumerate(times):
-        stack[:, detuned, detuned] = shifted[:, j]
-        if unitary:
-            out[:, j] = unitary_populations(stack, rho_true.matrix, t)
-        else:
-            out[:, j] = (make_propagator((stack, model.gamma), t)[:, diagonal] @ rho_vec).real
+        stack[:, levels, levels] = diagonals[:, j]
+        out[:, j] = drive_populations(stack, model.gamma, rho_true.matrix, t)
     return out
 
 
@@ -283,15 +273,20 @@ def load_model(path, delta_units=None):
 def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None):
     """ExperimentConfig from ``config_to_dict``'s JSON, with optional CLI overrides."""
     obj, units, hamiltonian, gamma = _read_drive(path, delta_units)
+    default = ExperimentConfig  # its class attributes are the field defaults
     return ExperimentConfig(
         hamiltonian=hamiltonian,
         gamma=gamma,
-        sample_interval=json_number(obj, "sample_interval_s", 1.16e-6),
-        n_samples=json_number(obj, "n_samples", 16, int),
-        repeats=json_number(obj, "repeats", 5, int),
-        atoms_per_shot=json_number(obj, "atoms_per_shot", 80_000, int),
-        rng_seed=int(seed) if seed is not None else json_number(obj, "rng_seed", 0, int),
-        noiseless=json_field(obj, "noiseless", False, bool) if noiseless is None else bool(noiseless),
+        sample_interval=json_number(obj, "sample_interval_s", default.sample_interval),
+        n_samples=json_number(obj, "n_samples", default.n_samples, int),
+        repeats=json_number(obj, "repeats", default.repeats, int),
+        atoms_per_shot=json_number(obj, "atoms_per_shot", default.atoms_per_shot, int),
+        rng_seed=int(seed) if seed is not None else json_number(obj, "rng_seed", default.rng_seed, int),
+        noiseless=(
+            bool(noiseless)
+            if noiseless is not None
+            else json_field(obj, "noiseless", default.noiseless, bool)
+        ),
         detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
         delta_units=units,
     )
@@ -344,7 +339,7 @@ def _parse_schedule(obj, delta_units):
         rho = DensityMatrix(parts_to_matrix(initial, "initial_state"))
     else:
         try:
-            rho = DensityMatrix.basis_state(5, basis_state_index(initial))
+            rho = DensityMatrix.basis_state(Ladder5.dim, basis_state_index(initial))
         except ValidationError as exc:
             raise SchemaError("initial_state", str(exc)) from None
     segments = []

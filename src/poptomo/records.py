@@ -259,6 +259,8 @@ def load_record(path):
     side = sidecar_path(path)
     if os.path.exists(side):
         sidecar = read_json(side)
+        if json_number(sidecar, "dim", n, int) != n:
+            raise SchemaError("dim", f"sidecar says {sidecar['dim']!r} levels, the CSV has {n}")
         repeats = json_number(sidecar, "repeats", 1, int)
         meta = dict(json_field(sidecar, "meta", {}, dict))
     warnings = json_field(meta, "warnings", [], list)

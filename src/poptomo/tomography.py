@@ -58,10 +58,8 @@ GRID_ATOL = 1e-12
 GRID_RTOL = 1e-12
 MAX_GRID_STEPS = 1_000_000
 
-WEIGHT_INVERSE_VARIANCE = "inverse_variance"
-WEIGHT_UNIFORM = "uniform"
-
 RANK_JITTER = 1e-12
+EPSILON_CEILING = 1.0
 
 
 def infer_grid_step(times):
@@ -249,14 +247,9 @@ class _WeightedCost:
 
     __slots__ = ("dim", "rows", "targets", "factor")
 
-    def __init__(self, predictor, record, weighting):
+    def __init__(self, predictor, record):
         n = predictor.dim
-        if weighting == WEIGHT_INVERSE_VARIANCE:
-            weights = 1.0 / np.square(record.sigmas)
-        elif weighting == WEIGHT_UNIFORM:
-            weights = np.ones_like(record.sigmas)
-        else:
-            raise ValidationError(f"unknown weighting {weighting!r}")
+        weights = 1.0 / np.square(record.sigmas)
         self.dim = n
         # (time, level) row order, matching the predictor
         scale = np.sqrt(weights / weights.sum(axis=1, keepdims=True)).T.reshape(-1)
@@ -331,13 +324,13 @@ def _check_record_model(record, model):
         )
 
 
-def weighted_error(rho0, record, model, *, weighting=WEIGHT_INVERSE_VARIANCE):
-    """Reconstruction error of a candidate initial state against a record."""
+def weighted_error(rho0, record, model):
+    """Inverse-variance weighted error of a candidate initial state against a record."""
     _check_record_model(record, model)
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != model dim {model.dim}")
     predictor = PopulationPredictor(model, record.times)
-    return _WeightedCost(predictor, record, weighting).state_error(rho0.matrix)
+    return _WeightedCost(predictor, record).state_error(rho0.matrix)
 
 
 def _params_for_state(matrix, n):
@@ -411,7 +404,7 @@ class ReconstructionResult:
     window: tuple
 
 
-def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
+def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     """Reconstruct the initial density matrix from a measurement record.
 
     Minimizes the inverse-variance weighted error over the Cholesky
@@ -433,7 +426,7 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=1.0):
         raise ValidationError("epsilon_ceiling must not be NaN")
     _check_record_model(record, model)
     predictor = PopulationPredictor(model, record.times)
-    cost = _WeightedCost(predictor, record, WEIGHT_INVERSE_VARIANCE)
+    cost = _WeightedCost(predictor, record)
     start = _linear_inversion_start(predictor, record)
     if start is None:
         start = _diagonal_start(record)

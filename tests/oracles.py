@@ -95,6 +95,25 @@ def kron_liouvillian(H, gamma):
     return L
 
 
+def ladder5_literal(w, d1, d2):
+    """The Ladder5 matrix written out entry by entry, as one complex array literal.
+
+    ``build_hamiltonian`` assembles the same matrix from ``ladder_diagonal``
+    and must match it byte for byte, signed zeros included.
+    """
+    ws = np.sqrt(1.5) * w
+    return np.array(
+        [
+            [-d2, w, 0.0, 0.0, 0.0],
+            [w, -d1, ws, 0.0, 0.0],
+            [0.0, ws, 0.0, ws, 0.0],
+            [0.0, 0.0, ws, d1, w],
+            [0.0, 0.0, 0.0, w, d2],
+        ],
+        dtype=complex,
+    )
+
+
 def unitary_channel_matrix(H, dt):
     """conj(U) (x) U for column-stacked vec, via eigendecomposition of H."""
     w, v = np.linalg.eigh(H)

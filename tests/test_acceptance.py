@@ -467,9 +467,7 @@ class TestCriterion8Invariants:
         rho_true = pt.DensityMatrix(oracles.random_density(rng, 5))
         model = pt.EvolutionModel(hamiltonian=LADDER, gamma=375.0)
         record = synthesize(rho_true, seed=900, noiseless=True)
-        cost = _WeightedCost(
-            PopulationPredictor(model, record.times), record, "inverse_variance"
-        )
+        cost = _WeightedCost(PopulationPredictor(model, record.times), record)
         cfg = pt.SubplexConfig(
             simplex=pt.SimplexConfig(x_tol=1e-300, max_evals=20_000), restarts=1
         )

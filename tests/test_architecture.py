@@ -2,7 +2,8 @@
 
 Only ``records`` touches files: no other module imports ``json`` or ``csv``
 or calls ``open``.  The only ``expm`` in the package is the call inside
-``dynamics.make_propagator``.  No module imports ``scipy.optimize``.  Every
+``dynamics.make_propagator``, and ``experiment`` propagates only through
+``dynamics``' entries.  No module imports ``scipy.optimize``.  Every
 name that the benchmark's tracer wraps is bound in the module it looks in.
 """
 
@@ -53,6 +54,19 @@ def test_file_io_and_expm_stay_in_their_modules():
         _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
     assert file_io == {"records"}
     assert expm_calls == ["dynamics.make_propagator"]
+
+
+def test_experiment_leaves_propagation_to_dynamics():
+    # drift synthesis hands each time column to dynamics.drive_populations,
+    # which picks the exponential; experiment builds none of its own
+    calls = []
+
+    def visit(node, owner):
+        if _called_name(node) in {"make_propagator", "eigh", "expm"}:
+            calls.append((owner, _called_name(node)))
+
+    _walk(ast.parse((SRC / "experiment.py").read_text(encoding="utf-8")), "experiment", visit)
+    assert calls == []
 
 
 def test_no_module_imports_scipy_optimize():

@@ -326,6 +326,7 @@ MALFORMED_INPUTS = {
         "model", lambda m: {**m, "hamiltonian": {**m["hamiltonian"], "rabi_hz": float("inf")}}
     ),
     "model_not_an_object": ("model", lambda m: [m]),
+    "sidecar_dim_mismatch": ("sidecar", lambda s: {**s, "dim": 3}),
     "sidecar_meta_string": ("sidecar", lambda s: {**s, "meta": "abc"}),
     "sidecar_repeats_fractional": ("sidecar", lambda s: {**s, "repeats": 2.9}),
     "sidecar_config_string": ("sidecar", lambda s: {**s, "meta": {**s["meta"], "config": "abc"}}),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import poptomo as pt
 import oracles
-from poptomo.dynamics import unitary_populations
+from poptomo.dynamics import drive_populations, ladder_diagonal
 
 TWO_PI = 2.0 * np.pi
 
@@ -79,6 +80,40 @@ class TestBuildHamiltonian:
     def test_generic_rejects_non_hermitian(self):
         with pytest.raises(pt.NonHermitianInput):
             pt.GenericHamiltonian(np.array([[0.0, 1.0], [2.0, 0.0]], dtype=complex))
+
+
+def test_ladder_matrix_is_the_literal_bytewise():
+    signed = [0.0, -0.0, 1.0, -3.5e4, 1e300, 5e-324]
+    rng = np.random.default_rng(33)
+    random = rng.normal(0.0, TWO_PI * 50e3, size=(500, 3)) * rng.choice([-1.0, 0.0, 1.0], (500, 3))
+    for w, d1, d2 in [*itertools.product(signed, repeat=3), *random.tolist()]:
+        H = pt.build_hamiltonian(pt.Ladder5(w, d1, d2))
+        want = oracles.ladder5_literal(w, d1, d2)
+        assert H.dtype == want.dtype and H.tobytes() == want.tobytes(), (w, d1, d2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rabi=st.floats(allow_nan=False, allow_infinity=False),
+    detunings=st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_ladder_diagonal_is_the_matrix_diagonal_bytewise(rabi, detunings):
+    d1, d2 = np.array(detunings).T
+    got = ladder_diagonal(d1, d2)
+    assert got.shape == (len(detunings), 5)
+    for row, (a, b) in zip(got, detunings):
+        want = np.diagonal(pt.build_hamiltonian(pt.Ladder5(rabi, a, b))).real
+        assert row.tobytes() == np.ascontiguousarray(want).tobytes()
+    # a scalar detuning broadcasts against an array of the other
+    broadcast = ladder_diagonal(d1[0], d2)
+    assert broadcast.tobytes() == ladder_diagonal(np.full_like(d2, d1[0]), d2).tobytes()
 
 
 NON_FINITE_DRIVE_FIELDS = [
@@ -262,6 +297,30 @@ def shifted_ladder_stacks(draw):
     )
 
 
+class TestDrivePopulations:
+    @pytest.mark.parametrize("t", [0.37e-6, 1.16e-6, 3e-5])
+    def test_dephased_rows_are_the_stacked_step_bytewise(self, t):
+        rng = np.random.default_rng(31)
+        rho = oracles.random_density(rng, 5)
+        offsets = rng.normal(0.0, TWO_PI * 10e3, size=7)
+        stack = np.stack(
+            [pt.build_hamiltonian(pt.Ladder5(TWO_PI * 60e3, xi, 2.0 * xi)).real for xi in offsets]
+        )
+        steps = pt.make_propagator((stack.astype(complex), 375.0), t)
+        want = (steps[:, np.arange(5) * 6] @ pt.vectorize(rho)).real
+        got = drive_populations(stack, 375.0, rho, t)
+        assert got.shape == (7, 5) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 375.0])
+    def test_time_zero_is_the_diagonal_exactly(self, gamma):
+        rho = oracles.random_density(np.random.default_rng(32), 5)
+        stack = np.stack([pt.build_hamiltonian(pt.Ladder5(1.0, 2.0, 3.0)).real] * 3)
+        got = drive_populations(stack, gamma, rho, 0.0)
+        assert got.shape == (3, 5)
+        for row in got:
+            assert row.tobytes() == np.diagonal(rho).real.tobytes()
+
+
 class TestUnitaryPopulations:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -276,7 +335,7 @@ class TestUnitaryPopulations:
         diagonal = np.arange(5) * 6
         steps = pt.make_propagator((stack.astype(complex), 0.0), t)
         want = (steps[:, diagonal] @ pt.vectorize(rho)).real
-        got = unitary_populations(stack, rho, t)
+        got = drive_populations(stack, 0.0, rho, t)
         assert got.shape == want.shape
         if t == 0.0:
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
@@ -298,14 +357,14 @@ class TestUnitaryPopulations:
         ).real
         rho = pt.DensityMatrix.maximally_mixed(5).matrix
         with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
-            unitary_populations(stack, rho, 1.16e-6)
-        np.testing.assert_array_equal(unitary_populations(stack, rho, 0.0), np.full((2, 5), 0.2))
+            drive_populations(stack, 0.0, rho, 1.16e-6)
+        np.testing.assert_array_equal(drive_populations(stack, 0.0, rho, 0.0), np.full((2, 5), 0.2))
 
     def test_non_finite_drive_rejected(self):
         # sqrt(3/2) * Omega overflows to inf, on which eigh would not converge
         stack = pt.build_hamiltonian(pt.Ladder5(1.6e308, 0.0, 0.0)).real[None]
         with pytest.raises(pt.ValidationError, match=r"dt = 1\.16e-06"):
-            unitary_populations(stack, np.eye(5) / 5, 1.16e-6)
+            drive_populations(stack, 0.0, np.eye(5) / 5, 1.16e-6)
 
 
 class TestEvolve:

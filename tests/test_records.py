@@ -157,6 +157,7 @@ JSON_VALUES = st.recursive(
     max_leaves=6,
 )
 SIDECAR_SLOTS = [
+    ("dim",),
     ("repeats",),
     ("meta",),
     ("meta", "config"),
@@ -220,6 +221,21 @@ class TestLoader:
         record = pt.load_record(path)
         assert record.sigmas[0, 0] == pt.shot_noise_floor()
         assert any("floor" in w for w in record.meta["warnings"])
+
+    def test_sidecar_dim_must_match_the_csv(self, tmp_path):
+        # a CSV paired with another record's sidecar must not take its config and state
+        path = tmp_path / "rec.csv"
+        path.write_text(
+            "time_s,p_1,p_2,sigma_1,sigma_2\n"
+            "0.0,0.5,0.5,0.01,0.01\n"
+            "1e-06,0.5,0.5,0.01,0.01\n"
+        )
+        sidecar = tmp_path / "rec.meta.json"
+        sidecar.write_text(json.dumps({"dim": 3, "repeats": 3, "meta": {}}))
+        with pytest.raises(pt.SchemaError, match="dim"):
+            pt.load_record(path)
+        sidecar.write_text(json.dumps({"repeats": 3, "meta": {}}))
+        assert pt.load_record(path).repeats == 3  # a sidecar without "dim" still loads
 
     def test_negative_sigma_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"

@@ -63,14 +63,6 @@ class TestWeightedError:
             expected, abs=1e-14
         )
 
-    def test_uniform_weighting_option(self, ladder_model):
-        rng = np.random.default_rng(2)
-        rho = pt.DensityMatrix(oracles.random_density(rng, 5))
-        record = make_record(ladder_model, rho, noiseless=False, seed=4)
-        weighted = pt.weighted_error(rho, record, ladder_model)
-        uniform = pt.weighted_error(rho, record, ladder_model, weighting="uniform")
-        assert weighted != uniform  # sigmas vary across points
-
     def test_bit_equal_across_record_layouts(self, ladder_model):
         # drift synthesis, truncation and a C-ordered copy must not change
         # how the weight sums along time round
@@ -110,7 +102,7 @@ class TestWeightedError:
             pt.weighted_error(rho3, record, ladder_model)
 
 
-def random_kernel_case(seed, dim, weighting, n_times=9):
+def random_kernel_case(seed, dim, n_times=9):
     """Cost kernel on a random model and a noisy record of an unrelated state."""
     rng = np.random.default_rng(seed)
     model = pt.EvolutionModel(
@@ -125,48 +117,39 @@ def random_kernel_case(seed, dim, weighting, n_times=9):
     record = pt.MeasurementRecord(
         times=times, means=means, sigmas=rng.uniform(1e-3, 2e-2, (dim, n_times))
     )
-    return predictor, record, tomography._WeightedCost(predictor, record, weighting)
+    return predictor, record, tomography._WeightedCost(predictor, record)
 
 
 class TestCostKernel:
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(2, 5),
-        weighting=st.sampled_from(["inverse_variance", "uniform"]),
-    )
-    def test_matches_reference_path(self, seed, dim, weighting):
-        predictor, record, cost = random_kernel_case(seed, dim, weighting)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
+    def test_matches_reference_path(self, seed, dim):
+        predictor, record, cost = random_kernel_case(seed, dim)
         values = np.random.default_rng(seed).standard_normal(dim * dim)
         rho = pt.params_to_rho(pt.StateParams(dim=dim, values=values))
         predicted = predictor.populations(pt.vectorize(rho.matrix))
-        sigmas = record.sigmas if weighting == "inverse_variance" else np.ones_like(record.sigmas)
-        expected = oracles.weighted_error_reference(predicted, record.means, sigmas)
+        expected = oracles.weighted_error_reference(predicted, record.means, record.sigmas)
         assert cost(values) == pytest.approx(expected, rel=1e-13, abs=0.0)
         assert cost.state_error(rho.matrix) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
     def test_gauge_scaling_is_exact(self, seed, dim):
-        _, _, cost = random_kernel_case(seed, dim, "inverse_variance")
+        _, _, cost = random_kernel_case(seed, dim)
         values = np.random.default_rng(seed).standard_normal(dim * dim)
         f = cost(values)
         assert cost(2.0 * values) == f
         assert cost(0.5 * values) == f
 
     def test_zero_vector_rejected(self):
-        _, _, cost = random_kernel_case(0, 3, "inverse_variance")
+        _, _, cost = random_kernel_case(0, 3)
         with pytest.raises(pt.DegenerateParams):
             cost(np.zeros(9))
 
     @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(2, 5),
-        weighting=st.sampled_from(["inverse_variance", "uniform"]),
-    )
-    def test_gradient_matches_central_differences(self, seed, dim, weighting):
-        _, _, cost = random_kernel_case(seed, dim, weighting)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
+    def test_gradient_matches_central_differences(self, seed, dim):
+        _, _, cost = random_kernel_case(seed, dim)
         values = np.random.default_rng(seed).standard_normal(dim * dim)
         f, grad = cost.value_and_grad(values)
         # the value is the same computation as __call__, so the same bits
@@ -360,7 +343,7 @@ class TestReconstruct:
         predictor = pt.PopulationPredictor(ladder_model, record.times)
         from poptomo.tomography import _WeightedCost
 
-        cost = _WeightedCost(predictor, record, "inverse_variance")
+        cost = _WeightedCost(predictor, record)
         cfg = pt.SubplexConfig(
             simplex=pt.SimplexConfig(x_tol=1e-300, max_evals=20_000),
             restarts=1,
