@@ -1,5 +1,6 @@
 """Command-line entry points: simulate, reconstruct, sweep-gamma, fidelity, converge.
 
+Only a front end: flags apply to what the library read from the files.
 Exit codes are stable for scripting: 0 success, 2 validation failure,
 3 numerical failure.
 """
@@ -7,6 +8,7 @@ Exit codes are stable for scripting: 0 success, 2 validation failure,
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,13 +18,15 @@ from .experiment import (
     load_experiment_config,
     load_model,
     load_state_or_schedule,
+    save_convergence,
     save_reconstruction,
     save_state,
+    save_sweep,
     synthesize_record,
 )
 from .optimize import SimplexConfig, SubplexConfig
-from .records import load_record, save_record, sidecar_path, write_csv, write_json
-from .tomography import EPSILON_CEILING, EvolutionModel, convergence_study, reconstruct, sweep_gamma
+from .records import load_record, save_record, sidecar_path
+from .tomography import EPSILON_CEILING, convergence_study, reconstruct, sweep_gamma
 
 
 def _parse_range(text):
@@ -39,16 +43,23 @@ def _parse_range(text):
     return np.linspace(start, stop, count)
 
 
-def _subplex_config(args):
+def _solver_inputs(args):
+    """The record, the model and the optimizer config, read in that order."""
+    record = load_record(args.record)
+    model = load_model(args.model, args.delta_units)
     simplex = SimplexConfig(max_evals=args.max_evals)
-    return SubplexConfig(
-        simplex=simplex,
-        restarts=args.restarts,
-        rng_seed=args.seed,
-    )
+    return record, model, SubplexConfig(simplex, restarts=args.restarts, rng_seed=args.seed)
 
 
-def _add_opt_flags(parser):
+def _reference(args):
+    """The --reference state or schedule, or None without one."""
+    return load_state_or_schedule(args.reference, args.delta_units) if args.reference else None
+
+
+def _add_solver_flags(parser):
+    """The inputs and optimizer flags of reconstruct, sweep-gamma and converge."""
+    parser.add_argument("--record", required=True, help="record CSV")
+    parser.add_argument("--model", required=True, help="evolution model JSON")
     parser.add_argument(
         "--seed",
         type=int,
@@ -67,6 +78,7 @@ def _add_opt_flags(parser):
         default=SimplexConfig.max_evals,
         help="total evaluation budget of one reconstruction (BFGS and polish together)",
     )
+    _add_delta_units(parser)
 
 
 def _add_delta_units(parser):
@@ -79,12 +91,9 @@ def _add_delta_units(parser):
 
 
 def cmd_simulate(args):
-    cfg = load_experiment_config(
-        args.config,
-        delta_units=args.delta_units,
-        seed=args.seed,
-        noiseless=args.noiseless or None,
-    )
+    cfg = load_experiment_config(args.config, args.delta_units)
+    seed = cfg.rng_seed if args.seed is None else args.seed
+    cfg = replace(cfg, rng_seed=seed, noiseless=cfg.noiseless or args.noiseless)
     rho_true = load_state_or_schedule(args.state, args.delta_units)
     record = synthesize_record(rho_true, cfg)
     save_record(record, args.out)
@@ -98,17 +107,12 @@ def cmd_simulate(args):
 
 
 def cmd_reconstruct(args):
-    record = load_record(args.record)
-    model = load_model(args.model, args.delta_units)
+    record, model, cfg = _solver_inputs(args)
     if args.gamma is not None:
-        model = EvolutionModel(hamiltonian=model.hamiltonian, gamma=args.gamma)
-    result = reconstruct(
-        record, model, _subplex_config(args), epsilon_ceiling=args.epsilon_ceiling
-    )
-    fidelity = None
-    if args.reference:
-        reference = load_state_or_schedule(args.reference, args.delta_units)
-        fidelity = uhlmann_fidelity(result.rho0, reference)
+        model = replace(model, gamma=args.gamma)
+    result = reconstruct(record, model, cfg, epsilon_ceiling=args.epsilon_ceiling)
+    reference = _reference(args)
+    fidelity = None if reference is None else uhlmann_fidelity(result.rho0, reference)
     save_reconstruction(result, args.out, fidelity=fidelity)
     line = (
         f"epsilon {result.epsilon:.6e} (gap {result.gap:.2e})"
@@ -121,31 +125,16 @@ def cmd_reconstruct(args):
 
 
 def cmd_sweep_gamma(args):
-    record = load_record(args.record)
-    model = load_model(args.model, args.delta_units)
+    record, model, cfg = _solver_inputs(args)
     windows = _parse_range(args.windows)
     gammas = _parse_range(args.gammas)
-    sweep = sweep_gamma(record, model.hamiltonian, windows, gammas, _subplex_config(args))
-    rows = [
-        (window, gamma, epsilon)
-        for window, errors in zip(sweep.windows, sweep.error_surface)
-        for gamma, epsilon in zip(sweep.gammas, errors)
-    ]
-    write_csv(args.out, ["window_s", "gamma_hz", "epsilon"], rows)
-    sidecar = {
-        "windows_s": sweep.windows.tolist(),
-        "gammas_hz": sweep.gammas.tolist(),
-        # NaN (every cell of the window failed) is not JSON: write null
-        "gamma_opt_hz": [g if math.isfinite(g) else None for g in sweep.gamma_opt.tolist()],
-    }
-    write_json(sidecar_path(args.out), sidecar)
-    print(
-        "gamma_opt per window: "
-        + ", ".join(
-            f"{w * 1e6:.1f}us->" + (f"{g:.0f}Hz" if g is not None else "none")
-            for w, g in zip(sweep.windows, sidecar["gamma_opt_hz"])
-        )
+    sweep = sweep_gamma(record, model.hamiltonian, windows, gammas, cfg)
+    save_sweep(sweep, args.out)
+    cells = (
+        f"{w * 1e6:.1f}us->" + (f"{g:.0f}Hz" if math.isfinite(g) else "none")
+        for w, g in zip(sweep.windows, sweep.gamma_opt)
     )
+    print("gamma_opt per window: " + ", ".join(cells))
     return 0
 
 
@@ -157,20 +146,11 @@ def cmd_fidelity(args):
 
 
 def cmd_converge(args):
-    record = load_record(args.record)
-    model = load_model(args.model, args.delta_units)
-    reference = None
-    if args.reference:
-        reference = load_state_or_schedule(args.reference, args.delta_units)
-    if args.windows:
-        windows = _parse_range(args.windows)
-    else:
-        windows = record.times[1:]
-    points = convergence_study(
-        record, model, _subplex_config(args), windows, reference=reference
-    )
-    rows = [(p.window, p.epsilon, p.infidelity) for p in points]
-    write_csv(args.out, ["window_s", "epsilon", "one_minus_fidelity"], rows)
+    record, model, cfg = _solver_inputs(args)
+    reference = _reference(args)
+    windows = _parse_range(args.windows) if args.windows else record.times[1:]
+    points = convergence_study(record, model, cfg, windows, reference=reference)
+    save_convergence(points, args.out)
     print(f"wrote {len(points)} windows to {args.out}")
     return 0
 
@@ -193,8 +173,7 @@ def build_parser():
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="reconstruct the initial state from a record")
-    p.add_argument("--record", required=True)
-    p.add_argument("--model", required=True, help="evolution model JSON")
+    _add_solver_flags(p)
     p.add_argument("--gamma", type=float, default=None, help="override dephasing rate (1/s)")
     p.add_argument("--reference", default=None, help="state/schedule JSON for fidelity")
     p.add_argument("--out", required=True, help="output result JSON")
@@ -204,18 +183,13 @@ def build_parser():
         default=EPSILON_CEILING,
         help="fail (exit 3) if the best error stays above this",
     )
-    _add_opt_flags(p)
-    _add_delta_units(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("sweep-gamma", help="error surface over windows and rates")
-    p.add_argument("--record", required=True)
-    p.add_argument("--model", required=True)
+    _add_solver_flags(p)
     p.add_argument("--windows", required=True, help="start:stop:count seconds")
     p.add_argument("--gammas", required=True, help="start:stop:count 1/s")
     p.add_argument("--out", required=True, help="output CSV (long format)")
-    _add_opt_flags(p)
-    _add_delta_units(p)
     p.set_defaults(func=cmd_sweep_gamma)
 
     p = sub.add_parser("fidelity", help="Uhlmann fidelity between two states")
@@ -224,13 +198,10 @@ def build_parser():
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("converge", help="reconstruction quality vs window length")
-    p.add_argument("--record", required=True)
-    p.add_argument("--model", required=True)
+    _add_solver_flags(p)
     p.add_argument("--reference", default=None)
     p.add_argument("--windows", default=None, help="start:stop:count seconds")
     p.add_argument("--out", required=True)
-    _add_opt_flags(p)
-    _add_delta_units(p)
     p.set_defaults(func=cmd_converge)
     return parser
 

@@ -11,12 +11,16 @@ from a drifting bias field: delta1 shifts by xi, delta2 by 2*xi).
 Preparation schedules chain piecewise-constant ladder drives to build
 the states under test from a named basis state.
 
-Configs, models, schedules, states and results are JSON files read and
-written here.  ``rabi_hz`` and ``detuning_noise_hz`` are ordinary
-frequencies (multiplied by 2*pi on load), ``gamma_hz`` is a plain rate in
-1/s, and ``delta1``/``delta2`` follow ``delta_units``: "ordinary"
-(default) multiplies by 2*pi, "angular" takes rad/s verbatim, as do
-``delta1_rad_s``/``delta2_rad_s`` always.  Matrices use ``records``' format.
+Configs, models, schedules, states, results and the sweep and convergence
+tables are read and written here.  ``rabi_hz`` and ``detuning_noise_hz``
+are ordinary frequencies (multiplied by 2*pi on load), ``gamma_hz`` is a
+plain rate in 1/s, and ``delta1``/``delta2`` follow ``delta_units``:
+"ordinary" (default) multiplies by 2*pi, "angular" takes rad/s verbatim,
+as do ``delta1_rad_s``/``delta2_rad_s`` always.  Matrices use ``records``'
+format.
+
+Each loader takes ``(path, delta_units=None)`` and checks every field of
+its file; the argument overrides the file's ``delta_units`` once checked.
 """
 
 import math
@@ -45,6 +49,8 @@ from .records import (
     parts_to_matrix,
     read_json,
     shot_noise_floor,
+    sidecar_path,
+    write_csv,
     write_json,
 )
 from .tomography import PopulationPredictor, prepare_pulse_state
@@ -222,11 +228,12 @@ def config_to_dict(cfg):
 
 
 def _delta_units(obj, override):
-    """The detuning units: the override, else the file's, else "ordinary"."""
-    units = override or obj.get("delta_units", "ordinary")
-    if units not in DELTA_UNITS:
-        raise SchemaError("delta_units", f"expected one of {DELTA_UNITS}, got {units!r}")
-    return units
+    """The detuning units: the override, else the file's (checked either way), else "ordinary"."""
+    units = obj.get("delta_units", "ordinary")
+    for value in (units, override or units):
+        if value not in DELTA_UNITS:
+            raise SchemaError("delta_units", f"expected one of {DELTA_UNITS}, got {value!r}")
+    return override or units
 
 
 def _delta_to_angular(value, delta_units):
@@ -270,8 +277,8 @@ def load_model(path, delta_units=None):
     return EvolutionModel(hamiltonian=hamiltonian, gamma=gamma)
 
 
-def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None):
-    """ExperimentConfig from ``config_to_dict``'s JSON, with optional CLI overrides."""
+def load_experiment_config(path, delta_units=None):
+    """ExperimentConfig from ``config_to_dict``'s JSON."""
     obj, units, hamiltonian, gamma = _read_drive(path, delta_units)
     default = ExperimentConfig  # its class attributes are the field defaults
     return ExperimentConfig(
@@ -281,12 +288,8 @@ def load_experiment_config(path, *, delta_units=None, seed=None, noiseless=None)
         n_samples=json_number(obj, "n_samples", default.n_samples, int),
         repeats=json_number(obj, "repeats", default.repeats, int),
         atoms_per_shot=json_number(obj, "atoms_per_shot", default.atoms_per_shot, int),
-        rng_seed=int(seed) if seed is not None else json_number(obj, "rng_seed", default.rng_seed, int),
-        noiseless=(
-            bool(noiseless)
-            if noiseless is not None
-            else json_field(obj, "noiseless", default.noiseless, bool)
-        ),
+        rng_seed=json_number(obj, "rng_seed", default.rng_seed, int),
+        noiseless=json_field(obj, "noiseless", default.noiseless, bool),
         detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
         delta_units=units,
     )
@@ -394,6 +397,26 @@ def save_reconstruction(result, path, *, fidelity=None):
     if fidelity is not None:
         payload["fidelity"] = fidelity
     write_json(path, payload)
+
+
+def save_sweep(sweep, path):
+    """Long-format sweep CSV, plus a sidecar with the axes and each window's optimal rate."""
+    windows, gammas = np.meshgrid(sweep.windows, sweep.gammas, indexing="ij")
+    rows = zip(windows.ravel(), gammas.ravel(), sweep.error_surface.ravel())
+    write_csv(path, ["window_s", "gamma_hz", "epsilon"], rows)
+    sidecar = {
+        "windows_s": sweep.windows.tolist(),
+        "gammas_hz": sweep.gammas.tolist(),
+        # NaN (every cell of the window failed) is not JSON: write null
+        "gamma_opt_hz": [g if math.isfinite(g) else None for g in sweep.gamma_opt.tolist()],
+    }
+    write_json(sidecar_path(path), sidecar)
+
+
+def save_convergence(points, path):
+    """Convergence-study CSV; the third cell is empty where no reference was given."""
+    rows = [(p.window, p.epsilon, p.infidelity) for p in points]
+    write_csv(path, ["window_s", "epsilon", "one_minus_fidelity"], rows)
 
 
 def pi_half_duration(rabi_omega):

@@ -36,6 +36,8 @@ SHRINK = 0.5
 NSMAX = 5
 # Initial simplex offset, relative to each start coordinate.
 INITIAL_STEP = 0.1
+# A simplex's value spread, or a subplex cycle's gain, below this stops on ftol.
+F_TOL = 1e-12
 # Armijo sufficient-decrease fraction and the backtracking factor of bfgs.
 ARMIJO = 1e-4
 BACKTRACK = 0.5
@@ -54,12 +56,11 @@ class SimplexConfig:
     """Stopping rules for one simplex run."""
 
     x_tol: float = 1e-8
-    f_tol: float = 1e-12
     max_evals: int = 200_000
 
     def __post_init__(self):
-        if self.x_tol <= 0.0 or self.f_tol <= 0.0:
-            raise ValidationError("tolerances must be positive")
+        if self.x_tol <= 0.0:
+            raise ValidationError("x_tol must be positive")
         if self.max_evals < 1:
             raise ValidationError("max_evals must be at least 1")
 
@@ -158,7 +159,7 @@ def _nm_core(ev, x0, cfg, steps):
         if np.abs(sim[1:] - sim[0]).max() < cfg.x_tol:
             reason = XTOL
             break
-        if fsim[-1] - fsim[0] < cfg.f_tol:
+        if fsim[-1] - fsim[0] < F_TOL:
             reason = FTOL
             break
         try:
@@ -206,7 +207,7 @@ def nelder_mead(f, x0, cfg=None):
 
     The initial simplex offsets each coordinate by INITIAL_STEP relative
     to it.  Stops when the simplex diameter drops below ``x_tol``, the
-    value spread drops below ``f_tol``, or the budget runs out.
+    value spread drops below F_TOL, or the budget runs out.
     """
     cfg = cfg if cfg is not None else SimplexConfig()
     x0 = np.asarray(x0, dtype=float).ravel()
@@ -252,7 +253,7 @@ def subplex(f, x0, cfg=None):
     Coordinates are sorted by the magnitude of their change in the last
     cycle and partitioned into blocks of 2..NSMAX; each block is
     minimized with the others frozen.  Cycling stops when a full cycle
-    improves less than ``f_tol``, moves less than ``x_tol``, or exhausts
+    improves less than F_TOL, moves less than ``x_tol``, or exhausts
     the budget.  The best value is non-increasing across cycles.  With
     at most NSMAX coordinates this is one ``nelder_mead`` run.
     """
@@ -294,7 +295,7 @@ def subplex(f, x0, cfg=None):
         dx = x - x_prev
         if np.abs(dx).max() < scfg.x_tol:
             reason = XTOL
-        elif f_prev - fx < scfg.f_tol:
+        elif f_prev - fx < F_TOL:
             reason = FTOL
         else:
             dx_norm = np.abs(dx).sum()

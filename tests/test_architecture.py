@@ -3,8 +3,10 @@
 Only ``records`` touches files: no other module imports ``json`` or ``csv``
 or calls ``open``.  The only ``expm`` in the package is the call inside
 ``dynamics.make_propagator``, and ``experiment`` propagates only through
-``dynamics``' entries.  No module imports ``scipy.optimize``.  Every
-name that the benchmark's tracer wraps is bound in the module it looks in.
+``dynamics``' entries.  ``cli`` writes no file format of its own: it
+calls neither ``write_csv`` nor ``write_json``.  No module imports
+``scipy.optimize``.  Every name that the benchmark's tracer wraps is
+bound in the module it looks in.
 """
 
 import ast
@@ -66,6 +68,19 @@ def test_experiment_leaves_propagation_to_dynamics():
             calls.append((owner, _called_name(node)))
 
     _walk(ast.parse((SRC / "experiment.py").read_text(encoding="utf-8")), "experiment", visit)
+    assert calls == []
+
+
+def test_cli_writes_no_format_of_its_own():
+    # every file the CLI writes goes through the saver of the module that
+    # owns its format (records or experiment)
+    calls = []
+
+    def visit(node, owner):
+        if _called_name(node) in {"write_csv", "write_json"}:
+            calls.append((owner, _called_name(node)))
+
+    _walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")), "cli", visit)
     assert calls == []
 
 

@@ -489,3 +489,88 @@ def test_non_finite_state_exits_2(tmp_path):
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps({"real": [[float("nan"), 0.0], [0.0, 1.0]]}))
     assert run_cli("fidelity", "--a", bad, "--b", bad) == 2
+
+
+def test_reconstruct_gamma_flag_sets_the_rate(workspace, tmp_path):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+        "--noiseless",
+    ) == 0
+    code = run_cli(
+        "reconstruct",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--gamma", "250",
+        "--out", workspace["result"],
+        "--max-evals", "500",
+    )
+    assert code == 0
+    assert json.loads(workspace["result"].read_text())["gamma_used_hz"] == 250.0
+
+
+def test_converge_defaults_to_every_record_time_after_the_first(workspace, tmp_path):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+        "--noiseless",
+    ) == 0
+    out = tmp_path / "conv.csv"
+    code = run_cli(
+        "converge",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--out", out,
+        "--max-evals", "200",
+    )
+    assert code == 0
+    record = pt.load_record(workspace["record"])
+    windows = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert windows == record.times[1:].tolist()
+
+
+def test_unparsable_range_number_exits_2(workspace, tmp_path, capsys):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    code = run_cli(
+        "converge",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--windows", "1e-6:abc:3",
+        "--out", tmp_path / "conv.csv",
+    )
+    assert code == 2
+    assert "bad range" in capsys.readouterr().err
+    assert not (tmp_path / "conv.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, flags",
+    [
+        ("rng_seed", "abc", ["--seed", "3"]),
+        ("noiseless", "yes", ["--noiseless"]),
+        ("delta_units", 7, ["--delta-units", "angular"]),
+    ],
+)
+def test_flag_does_not_hide_a_bad_config_field(workspace, capsys, field, value, flags):
+    # a flag overrides a field only after the file's own value is checked
+    config = json.loads(workspace["config"].read_text())
+    workspace["config"].write_text(json.dumps({**config, field: value}))
+    code = run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+        *flags,
+    )
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not workspace["record"].exists()

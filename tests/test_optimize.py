@@ -275,6 +275,33 @@ class TestBFGS:
         res = bfgs(lambda x: (float(x @ x), 2.0 * x), np.zeros(3), 100)
         assert (res.best_f, res.evals, res.converged_by) == (0.0, 1, pt.optimize.GTOL)
 
+    def test_stall_on_a_slope_too_shallow_to_matter(self):
+        # every line search succeeds, but STALL_ITERS iterations together
+        # lower f by 1e-8, below STALL_RTOL * f
+        res = bfgs(lambda x: (1.0 + 1e-5 * float(x[0]), np.array([1e-5])), np.zeros(1), 1_000)
+        assert (res.converged_by, res.evals) == (pt.optimize.STALL, pt.optimize.STALL_ITERS + 1)
+        assert res.best_x[0] == pytest.approx(-1e-5 * pt.optimize.STALL_ITERS, rel=1e-12)
+
+    def test_restart_after_a_non_descent_direction(self):
+        # At the kink of max|x_i| the steps shrink until s.y is about 2e-162:
+        # s.y**2 is then subnormal, the rounded update leaves an inverse that
+        # is not positive definite, and bfgs restarts from the identity, whose
+        # first trial is the steepest-descent point x - g.
+        calls = []
+
+        def box(x):
+            a = np.abs(x)
+            k = int(np.argmax(a))
+            g = 0.002 * x
+            g[k] += math.copysign(1.0, x[k])
+            calls.append((x.copy(), g.copy()))
+            return float(a[k] + 0.001 * float(x @ x)), g
+
+        res = bfgs(box, np.array([5.0, 3.0]), 5_000)
+        assert (res.converged_by, res.evals) == (pt.optimize.LINE_SEARCH, 591)
+        steepest = {(x - g).tobytes() for x, g in calls[1:]}
+        assert [i for i, (x, _) in enumerate(calls) if i > 1 and x.tobytes() in steepest] == [550]
+
     def test_non_finite_trial_shortens_the_step(self):
         def wall(x):
             if x[0] > 0.5:

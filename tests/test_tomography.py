@@ -486,6 +486,10 @@ class TestPreparePulseState:
         )
         assert np.abs(pt.populations(pi_half_state) - reference[:, -1]).max() < 1e-6
 
+    def test_negative_duration_rejected(self, drive_only_model):
+        with pytest.raises(pt.EmptyWindow, match="duration"):
+            pt.prepare_pulse_state(pt.DensityMatrix.basis_state(5, 0), drive_only_model, -1e-9)
+
 
 class TestConvergenceStudy:
     def test_duplicate_windows_identical(self, ladder_model):
@@ -576,6 +580,11 @@ class TestSweepGamma:
         assert np.isinf(sweep.error_surface[0]).all()
         assert np.isnan(sweep.gamma_opt[0])
         assert sweep.gamma_opt[1] == 300.0
+
+    def test_no_gamma_rejected(self, ladder, ladder_model):
+        record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
+        with pytest.raises(pt.EmptyWindow, match="gamma"):
+            pt.sweep_gamma(record, ladder, [record.span], [])
 
     def test_negative_gamma_rejected(self, ladder, ladder_model):
         rho_true = pt.DensityMatrix.maximally_mixed(5)
