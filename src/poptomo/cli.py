@@ -110,8 +110,8 @@ def cmd_reconstruct(args):
     record, model, cfg = _solver_inputs(args)
     if args.gamma is not None:
         model = replace(model, gamma=args.gamma)
-    result = reconstruct(record, model, cfg, epsilon_ceiling=args.epsilon_ceiling)
     reference = _reference(args)
+    result = reconstruct(record, model, cfg, epsilon_ceiling=args.epsilon_ceiling)
     fidelity = None if reference is None else uhlmann_fidelity(result.rho0, reference)
     save_reconstruction(result, args.out, fidelity=fidelity)
     line = (

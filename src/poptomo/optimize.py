@@ -12,7 +12,7 @@ whole reconstruction takes.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -91,6 +91,19 @@ class OptResult:
     per_restart_f: np.ndarray
 
 
+def _single_run(best_x, best_f, evals, converged_by):
+    """The result of one run, which is its own only restart."""
+    return OptResult(best_x, best_f, evals, converged_by, np.array([best_f]))
+
+
+def _start(x0):
+    """x0 as a flat float vector; ValidationError unless it is finite."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if not np.all(np.isfinite(x0)):
+        raise ValidationError("x0 must be finite")
+    return x0
+
+
 class _BudgetExhausted(Exception):
     """Internal control flow: the evaluation budget ran out."""
 
@@ -142,13 +155,11 @@ def _nm_core(ev, x0, cfg, steps):
     for k in range(n):
         sim[k + 1, k] += steps[k]
     fsim = np.full(n + 1, math.inf)
-    evaluated = 0
     try:
         for i in range(n + 1):
             fsim[i] = ev(sim[i])
-            evaluated = i + 1
     except _BudgetExhausted:
-        k = int(np.argmin(fsim[:evaluated])) if evaluated else 0
+        k = int(np.argmin(fsim))
         return sim[k].copy(), float(fsim[k]), MAX_EVALS
 
     reason = None
@@ -176,22 +187,15 @@ def _nm_core(ev, x0, cfg, steps):
             elif fr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fr
             else:
-                shrink_needed = False
-                if fr < fsim[-1]:
-                    xc = centroid + CONTRACTION * REFLECTION * (centroid - sim[-1])
-                    fc = ev(xc)
-                    if fc <= fr:
-                        sim[-1], fsim[-1] = xc, fc
-                    else:
-                        shrink_needed = True
+                # contract outside if the reflection beat the worst vertex,
+                # else inside; keep the point if it is no worse than the
+                # reflection and better than the worst vertex, else shrink
+                coef = CONTRACTION * REFLECTION if fr < fsim[-1] else -CONTRACTION
+                xc = centroid + coef * (centroid - sim[-1])
+                fc = ev(xc)
+                if fc <= fr and fc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fc
                 else:
-                    xcc = centroid - CONTRACTION * (centroid - sim[-1])
-                    fcc = ev(xcc)
-                    if fcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fcc
-                    else:
-                        shrink_needed = True
-                if shrink_needed:
                     for i in range(1, n + 1):
                         xs = sim[0] + SHRINK * (sim[i] - sim[0])
                         fs = ev(xs)
@@ -210,18 +214,10 @@ def nelder_mead(f, x0, cfg=None):
     value spread drops below F_TOL, or the budget runs out.
     """
     cfg = cfg if cfg is not None else SimplexConfig()
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("x0 must be finite")
+    x0 = _start(x0)
     ev = _Evaluator(f, cfg.max_evals)
     best_x, best_f, reason = _nm_core(ev, x0, cfg, _initial_steps(x0))
-    return OptResult(
-        best_x=best_x,
-        best_f=best_f,
-        evals=ev.evals,
-        converged_by=reason,
-        per_restart_f=np.array([best_f]),
-    )
+    return _single_run(best_x, best_f, ev.evals, reason)
 
 
 def _partition_sizes(n):
@@ -259,9 +255,7 @@ def subplex(f, x0, cfg=None):
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     scfg = cfg.simplex
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("x0 must be finite")
+    x0 = _start(x0)
     n = x0.size
     if n <= NSMAX:
         return nelder_mead(f, x0, scfg)
@@ -305,13 +299,7 @@ def subplex(f, x0, cfg=None):
             magnitude = scale * np.abs(step_vec)
             sign = np.where(dx != 0.0, np.sign(dx), np.sign(step_vec))
             step_vec = sign * magnitude
-    return OptResult(
-        best_x=x,
-        best_f=fx,
-        evals=ev.evals,
-        converged_by=reason,
-        per_restart_f=np.array([fx]),
-    )
+    return _single_run(x, fx, ev.evals, reason)
 
 
 def multi_start(f, sampler, cfg=None):
@@ -324,32 +312,23 @@ def multi_start(f, sampler, cfg=None):
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     rng = np.random.default_rng(cfg.rng_seed)
-    results = []
+    runs = []
+    per_restart = []
     last_error = None
     for _ in range(cfg.restarts):
-        start = np.asarray(sampler(rng), dtype=float).ravel()
         try:
-            results.append(subplex(f, start, cfg))
+            runs.append(subplex(f, sampler(rng), cfg))
+            per_restart.append(runs[-1].best_f)
         except NonFiniteObjective as exc:
-            results.append(None)
+            per_restart.append(math.inf)
             last_error = exc
-    if all(r is None for r in results):
+    if not runs:
         raise NonFiniteObjective(
             f"all {cfg.restarts} starts failed"
         ) from last_error
-    per_restart = np.array(
-        [r.best_f if r is not None else math.inf for r in results]
-    )
-    winner = min(
-        (r for r in results if r is not None), key=lambda r: r.best_f
-    )
-    return OptResult(
-        best_x=winner.best_x,
-        best_f=winner.best_f,
-        evals=sum(r.evals for r in results if r is not None),
-        converged_by=winner.converged_by,
-        per_restart_f=per_restart,
-    )
+    winner = min(runs, key=lambda r: r.best_f)
+    evals = sum(r.evals for r in runs)
+    return replace(winner, evals=evals, per_restart_f=np.array(per_restart))
 
 
 def bfgs(fg, x0, max_evals):
@@ -359,16 +338,16 @@ def bfgs(fg, x0, max_evals):
     against ``max_evals``.  The inverse Hessian starts as the identity and
     is scaled by s.y / y.y before its first update (Nocedal & Wright,
     eq. 6.20); a step that does not raise the slope (s.y <= 0) skips the
-    update.  Each line search tries the full step first and halves it
+    update, and so does one where the update would divide by zero or
+    infinity: (s.y)**2 rounds to 0 or overflows, or y.y is 0 before the
+    first scaling.  Each line search tries the full step first and halves it
     until f falls by ARMIJO times the predicted decrease.  Stops on a zero
     gradient (``gtol``), a failed line search (``line_search``), a stalled
     decrease (``stall``, see STALL_RTOL) or the budget (``max_evals``).
     A non-finite trial value only shortens the step.  The result is never
     worse than the start, and is deterministic.
     """
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("x0 must be finite")
+    x = _start(x0).copy()
     if max_evals < 1:
         raise ValidationError("max_evals must be at least 1")
     f, g = fg(x)
@@ -411,21 +390,19 @@ def bfgs(fg, x0, max_evals):
         s = trial - x
         y = g_trial - g
         sy = float(s @ y)
-        if sy > 0.0:
+        try:
+            sy2 = sy**2
+        except OverflowError:
+            sy2 = math.inf
+        if sy > 0.0 and 0.0 < sy2 < math.inf and (scaled or float(y @ y) > 0.0):
             if not scaled:
                 inverse *= sy / float(y @ y)
                 scaled = True
             hy = inverse @ y
-            inverse += ((sy + float(y @ hy)) / sy**2) * np.outer(s, s)
+            inverse += ((sy + float(y @ hy)) / sy2) * np.outer(s, s)
             inverse -= np.outer(hy, s / sy) + np.outer(s / sy, hy)
         x, f, g = trial, f_trial, g_trial
         history.append(f)
         if len(history) > STALL_ITERS and history[-STALL_ITERS - 1] - f <= STALL_RTOL * f:
             reason = STALL
-    return OptResult(
-        best_x=x,
-        best_f=f,
-        evals=evals,
-        converged_by=reason,
-        per_restart_f=np.array([f]),
-    )
+    return _single_run(x, f, evals, reason)

@@ -5,11 +5,14 @@ or calls ``open``.  The only ``expm`` in the package is the call inside
 ``dynamics.make_propagator``, and ``experiment`` propagates only through
 ``dynamics``' entries.  ``cli`` writes no file format of its own: it
 calls neither ``write_csv`` nor ``write_json``.  No module imports
-``scipy.optimize``.  Every name that the benchmark's tracer wraps is
-bound in the module it looks in.
+``scipy.optimize``.  Every explicit ``raise`` raises a ``PoptomoError``
+subclass, so the CLI maps it to an exit code, except for two named
+exceptions.  Every name that the benchmark's tracer wraps is bound in
+the module it looks in.
 """
 
 import ast
+import builtins
 import importlib.util
 import pathlib
 from types import SimpleNamespace
@@ -104,6 +107,34 @@ def test_no_module_imports_scipy_optimize():
     for path in sorted(SRC.glob("*.py")):
         _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
     assert found == []
+
+
+def test_every_raise_is_a_poptomo_error():
+    # optimize catches its own _BudgetExhausted, and build_hamiltonian's
+    # TypeError is a programming error: a spec that no loader builds
+    from poptomo.errors import PoptomoError
+
+    allowed = {
+        ("optimize._Evaluator.__call__", "_BudgetExhausted"),
+        ("dynamics.build_hamiltonian", "TypeError"),
+    }
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"poptomo.{path.stem}")
+
+        def visit(node, owner):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                return
+            name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            head, *attrs = name.split(".")
+            raised = getattr(module, head, getattr(builtins, head, None))
+            for attr in attrs:
+                raised = getattr(raised, attr, None)
+            if not (isinstance(raised, type) and issubclass(raised, PoptomoError)):
+                foreign.append((owner, name))
+
+        _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
+    assert sorted(foreign) == sorted(allowed)
 
 
 def test_tracer_wraps_and_restores_every_binding():

@@ -533,6 +533,31 @@ def test_converge_defaults_to_every_record_time_after_the_first(workspace, tmp_p
     assert windows == record.times[1:].tolist()
 
 
+def test_reconstruct_reads_the_reference_before_it_solves(workspace, tmp_path, capsys):
+    # a ceiling of 0 fails every solve (exit 3), so exit 2 shows that the
+    # malformed reference stopped the command before the solve
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    bad = tmp_path / "bad_reference.json"
+    bad.write_text(json.dumps({"initial_state": "mF=+9"}))
+    code = run_cli(
+        "reconstruct",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--reference", bad,
+        "--epsilon-ceiling", "0",
+        "--max-evals", "500",
+        "--out", workspace["result"],
+    )
+    assert code == 2
+    assert "initial_state" in capsys.readouterr().err
+    assert not workspace["result"].exists()
+
+
 def test_unparsable_range_number_exits_2(workspace, tmp_path, capsys):
     assert run_cli(
         "simulate",

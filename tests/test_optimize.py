@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,25 @@ def sphere(x):
 
 def rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def wiggle(x):
+    """A bowl with ripples: its simplex runs contract inside and shrink."""
+    return float(x @ x + 0.1 * np.sin(50.0 * x).sum())
+
+
+def terraces(x):
+    """Piecewise constant, so a contraction can tie with its reflection."""
+    return float(np.abs(np.floor(4.0 * x)).sum() + 0.01 * np.floor(10.0 * float(x @ x)))
+
+
+def kinked_box(x):
+    """max|x_i| + 0.001 |x|^2 and its gradient away from the kinks."""
+    a = np.abs(x)
+    k = int(np.argmax(a))
+    g = 0.002 * x
+    g[k] += math.copysign(1.0, x[k])
+    return float(a[k] + 0.001 * float(x @ x)), g
 
 
 def rosenbrock_and_grad(x):
@@ -80,8 +100,16 @@ class TestNelderMead:
     def test_config_validation(self):
         with pytest.raises(pt.ValidationError):
             pt.SimplexConfig(x_tol=0.0)
+        with pytest.raises(pt.ValidationError, match="max_evals"):
+            pt.SimplexConfig(max_evals=0)
         with pytest.raises(pt.ValidationError, match="rng_seed"):
             pt.SubplexConfig(rng_seed=-1)
+        with pytest.raises(pt.ValidationError, match="restarts"):
+            pt.SubplexConfig(restarts=0)
+        with pytest.raises(pt.ValidationError, match="x0"):
+            pt.nelder_mead(sphere, [1.0, math.nan])
+        with pytest.raises(pt.ValidationError, match="x0"):
+            pt.subplex(sphere, np.r_[np.ones(7), math.inf])
 
 
 class TestSubplex:
@@ -161,6 +189,142 @@ class TestPinnedTrajectories:
         assert (res.best_f, res.evals, res.converged_by) == (
             0.03789738267051111, 15000, pt.optimize.MAX_EVALS
         )
+
+
+def _nan_every_97th_call():
+    """wiggle, but NaN on every 97th call counted across all runs."""
+    calls = itertools.count(1)
+    return lambda x: math.nan if next(calls) % 97 == 0 else wiggle(x)
+
+
+def _subplex_cfg(max_evals, restarts=32, rng_seed=0):
+    return pt.SubplexConfig(pt.SimplexConfig(max_evals=max_evals), restarts, rng_seed)
+
+
+X4 = [-1.2, 1.0, 0.5, -0.3]
+MAX_EVALS = pt.optimize.MAX_EVALS
+PINNED_RUNS = [
+    pytest.param(
+        lambda: pt.nelder_mead(wiggle, X4, pt.SimplexConfig(max_evals=3)),
+        ("2.70597961771434", 3, MAX_EVALS, ["2.70597961771434"]),
+        id="nm-budget-in-initial-simplex",
+    ),
+    pytest.param(
+        lambda: pt.nelder_mead(wiggle, [1.3, -0.7], pt.SimplexConfig(max_evals=28)),
+        ("-0.0475173824150035", 28, MAX_EVALS, ["-0.0475173824150035"]),
+        id="nm2-budget-in-shrink",
+    ),
+    pytest.param(
+        lambda: pt.nelder_mead(wiggle, X4, pt.SimplexConfig(max_evals=50)),
+        ("1.2753929683817469", 50, MAX_EVALS, ["1.2753929683817469"]),
+        id="nm4-budget-in-shrink",
+    ),
+    pytest.param(
+        lambda: pt.nelder_mead(wiggle, X4, pt.SimplexConfig(max_evals=3000)),
+        ("1.1077163588271846", 292, pt.optimize.FTOL, ["1.1077163588271846"]),
+        id="nm4-converged",
+    ),
+    pytest.param(
+        lambda: pt.nelder_mead(terraces, [1.3, -0.7]),
+        ("2.01", 26, pt.optimize.FTOL, ["2.01"]),
+        id="nm2-contraction-ties-reflection",
+    ),
+    pytest.param(
+        lambda: pt.subplex(terraces, np.linspace(-2.0, 2.0, 7)),
+        ("0.0", 328, pt.optimize.XTOL, ["0.0"]),
+        id="subplex7-contraction-ties-reflection",
+    ),
+    pytest.param(
+        lambda: pt.subplex(wiggle, np.linspace(-1.0, 1.0, 7), _subplex_cfg(1)),
+        ("3.1111111111111116", 1, MAX_EVALS, ["3.1111111111111116"]),
+        id="subplex-budget-is-the-start",
+    ),
+    pytest.param(
+        lambda: pt.subplex(wiggle, np.linspace(-1.0, 1.0, 7), _subplex_cfg(3)),
+        ("3.1111111111111116", 3, MAX_EVALS, ["3.1111111111111116"]),
+        id="subplex-budget-in-first-simplex",
+    ),
+    pytest.param(
+        # the second cycle's second block starts at evaluation 653
+        lambda: pt.subplex(wiggle, np.linspace(-1.0, 1.0, 7), _subplex_cfg(700)),
+        ("0.874703077156403", 700, MAX_EVALS, ["0.874703077156403"]),
+        id="subplex7-budget-mid-cycle",
+    ),
+    pytest.param(
+        lambda: pt.subplex(wiggle, np.linspace(-1.0, 1.0, 7), _subplex_cfg(3000)),
+        ("0.7558954269077007", 1548, pt.optimize.FTOL, ["0.7558954269077007"]),
+        id="subplex7-converged",
+    ),
+    pytest.param(
+        # the second cycle's third block starts at evaluation 1331
+        lambda: pt.subplex(wiggle, np.linspace(-2.0, 1.0, 12), _subplex_cfg(1500)),
+        ("-0.7102112582481767", 1500, MAX_EVALS, ["-0.7102112582481767"]),
+        id="subplex12-budget-mid-cycle",
+    ),
+    pytest.param(
+        lambda: pt.subplex(wiggle, np.linspace(-2.0, 1.0, 12), _subplex_cfg(3000)),
+        ("-0.718274424712559", 2952, pt.optimize.XTOL, ["-0.718274424712559"]),
+        id="subplex12-converged",
+    ),
+    pytest.param(
+        # restarts 2 and 4 meet two NaNs and fail; their evaluations do not count
+        lambda: pt.multi_start(
+            _nan_every_97th_call(),
+            lambda rng: 1.5 * rng.standard_normal(6),
+            _subplex_cfg(150, restarts=5, rng_seed=5),
+        ),
+        (
+            "2.365330119863304",
+            450,
+            MAX_EVALS,
+            ["4.0157095859476195", "inf", "10.531688259824756", "inf", "2.365330119863304"],
+        ),
+        id="multi-start-nan-every-97th-call",
+    ),
+]
+
+
+class TestPinnedBookkeeping:
+    """Exact results where a run stops: in the initial simplex, in a shrink,
+    mid-cycle, on convergence, and across failed restarts."""
+
+    @pytest.mark.parametrize("run, expected", PINNED_RUNS)
+    def test_pinned_run(self, run, expected):
+        res = run()
+        assert (repr(res.best_f), res.evals, res.converged_by) == expected[:3]
+        assert [repr(float(v)) for v in res.per_restart_f] == expected[3]
+
+    @pytest.mark.parametrize("max_evals", [150, 400])
+    def test_multi_start_with_every_start_failed(self, max_evals):
+        cfg = _subplex_cfg(max_evals, restarts=5, rng_seed=5)
+        sampler = lambda rng: 1.5 * rng.standard_normal(6)
+        with pytest.raises(pt.NonFiniteObjective, match="^all 5 starts failed$") as info:
+            pt.multi_start(lambda x: math.nan, sampler, cfg)
+        assert str(info.value.__cause__) == "objective returned a non-finite value more than once"
+        if max_evals == 400:
+            # every run is long enough to meet two of the 97th-call NaNs
+            with pytest.raises(pt.NonFiniteObjective, match="^all 5 starts failed$"):
+                pt.multi_start(_nan_every_97th_call(), sampler, cfg)
+
+    @pytest.mark.parametrize("n", [2, 4, 5, 7, 12])
+    @pytest.mark.parametrize("method", ["nelder_mead", "subplex"])
+    def test_best_value_is_the_objective_at_the_best_point(self, method, n):
+        # for every budget: the reported value is f at the reported point,
+        # and the budget is kept
+        x0 = np.linspace(-1.0, 1.0, n) + 0.3
+        for max_evals in range(1, 400):
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return wiggle(x)
+
+            if method == "nelder_mead":
+                res = pt.nelder_mead(counted, x0, pt.SimplexConfig(max_evals=max_evals))
+            else:
+                res = pt.subplex(counted, x0, _subplex_cfg(max_evals))
+            assert wiggle(res.best_x) == res.best_f
+            assert res.evals == len(calls) <= max_evals
 
 
 class TestMultiStart:
@@ -301,6 +465,39 @@ class TestBFGS:
         assert (res.converged_by, res.evals) == (pt.optimize.LINE_SEARCH, 591)
         steepest = {(x - g).tobytes() for x, g in calls[1:]}
         assert [i for i, (x, _) in enumerate(calls) if i > 1 and x.tobytes() in steepest] == [550]
+
+    def test_update_skipped_when_sy_squared_underflows(self):
+        # from (3, 1) the kink shrinks s.y until s.y**2 rounds to 0
+        res = bfgs(kinked_box, np.array([3.0, 1.0]), 5_000)
+        assert (res.converged_by, res.evals) == (pt.optimize.LINE_SEARCH, 1_090)
+
+    def test_update_skipped_when_sy_squared_overflows(self):
+        # s.y = 1.25e155 on the first step, and Python's float ** raises on overflow
+        res = bfgs(lambda x: (float(x @ x) / 4.0, x / 2.0), np.array([1e78]), 100)
+        assert (res.converged_by, res.evals, res.best_f) == (pt.optimize.GTOL, 5, 0.0)
+
+    def test_scaled_objectives_raise_nothing(self):
+        # quadratics and quartics whose x, g and f scale as c, c and c**2, and
+        # the kinked box scaled as c, 1 and c: at c far from 1, s.y**2 under-
+        # or overflows, and y.y can round to 0
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            kind = ("quadratic", "kinked", "quartic")[rng.integers(3)]
+            c = 10.0 ** rng.uniform(-150.0, 150.0)
+            x0 = c * rng.uniform(-4.0, 4.0, rng.integers(1, 5))
+            w = rng.uniform(0.1, 10.0, x0.size)
+            if kind == "quadratic":
+                fg = lambda x, w=w: (0.5 * float(x @ (w * x)), w * x)
+            elif kind == "kinked":
+                fg = lambda x, c=c: (c * kinked_box(x / c)[0], kinked_box(x / c)[1])
+            else:
+                def fg(x, c=c, w=w):
+                    u = x / c
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        return c**2 * float(w @ u**4), 4.0 * c * (w * u**3)
+            res = bfgs(fg, x0, 200)
+            assert res.evals <= 200
+            assert res.best_f <= fg(x0)[0]
 
     def test_non_finite_trial_shortens_the_step(self):
         def wall(x):
