@@ -173,37 +173,24 @@ class _Factor:
         return T.conj().T.dot(T), norm
 
 
-@dataclass(frozen=True, eq=False)
-class StateParams:
-    """Real vector of length dim^2 encoding a density matrix."""
-
-    dim: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if v.size != self.dim * self.dim:
-            raise DimensionMismatch(
-                f"need {self.dim * self.dim} parameters for dim {self.dim}, got {v.size}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise DegenerateParams("parameter vector contains non-finite entries")
-        object.__setattr__(self, "values", v)
-
-
-def rho_matrix_from_values(values, dim):
+def rho_matrix_from_values(values):
     """Raw-array fast path: normalized T^H T without DensityMatrix checks."""
-    gram, norm = _Factor(dim).gram(values)
+    gram, norm = _Factor(math.isqrt(values.size)).gram(values)
     return gram / norm
 
 
-def params_to_rho(p):
-    """Map a parameter vector to its density matrix (total up to gauge)."""
-    return DensityMatrix(rho_matrix_from_values(p.values, p.dim))
+def params_to_rho(values):
+    """Map a real vector of length n^2 to its density matrix (total up to gauge)."""
+    values = np.asarray(values, dtype=float).ravel()
+    if math.isqrt(values.size) ** 2 != values.size:
+        raise DimensionMismatch(f"need n^2 parameters for some n, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise DegenerateParams("parameter vector contains non-finite entries")
+    return DensityMatrix(rho_matrix_from_values(values))
 
 
 def rho_to_params(rho):
-    """Invert params_to_rho via a reverse-Cholesky factorization.
+    """Invert params_to_rho via a reverse-Cholesky factorization; returns the vector.
 
     Finds lower-triangular T with positive diagonal and rho = T^H T by
     flipping the basis, running a standard Cholesky, and flipping back.
@@ -223,8 +210,7 @@ def rho_to_params(rho):
                 "state is numerically indefinite even after diagonal jitter"
             ) from None
     T = np.ascontiguousarray(L[::-1, ::-1].conj().T)
-    values = T.view(float).reshape(-1)[_factor_slots(dim)]
-    return StateParams(dim=dim, values=values)
+    return T.view(float).reshape(-1)[_factor_slots(dim)]
 
 
 class _WeightedCost:
@@ -278,33 +264,27 @@ class _WeightedCost:
         a /= norm
         return a, a.view(complex).reshape(self.dim, self.dim)
 
-    def _error(self, gram, norm):
-        return float(self._residual(gram, norm)[1].sum() / self.dim)
+    def certificate(self, matrix):
+        """(eps, gap) at a density matrix (unit trace, so no normalization).
 
-    def state_error(self, matrix):
-        """Error of a density matrix (unit trace, so no normalization)."""
-        return self._error(np.ascontiguousarray(matrix, dtype=complex), 1.0)
-
-    def frank_wolfe_gap(self, matrix):
-        """<grad eps, rho> - lambda_min(herm grad eps) at a density matrix.
-
-        eps is convex in rho, so eps(rho) - gap is a lower bound on the
-        minimum over all states, and gap bounds eps(rho) - eps* from
-        above.  Summed as sum_k (lambda_k - lambda_min) <v_k|rho|v_k> over
-        the gradient's eigenvectors, so it has no cancellation and is
-        never below minus rounding.  Where every level's residual is non-zero
-        eps is differentiable and the gap reaches 0 at the minimum; at a
-        kink the zero subgradient keeps the bound valid but not tight.
+        gap is <grad eps, rho> - lambda_min(herm grad eps).  eps is convex
+        in rho, so eps(rho) - gap is a lower bound on the minimum over all
+        states, and gap bounds eps(rho) - eps* from above.  Summed as
+        sum_k (lambda_k - lambda_min) <v_k|rho|v_k> over the gradient's
+        eigenvectors, so it has no cancellation and is never below minus
+        rounding.  Where every level's residual is non-zero eps is
+        differentiable and the gap reaches 0 at the minimum; at a kink the
+        zero subgradient keeps the bound valid but not tight.
         """
         gram = np.ascontiguousarray(matrix, dtype=complex)
         residual, level_norms = self._residual(gram, 1.0)
         _, gamma = self._gram_gradient(residual, level_norms, 1.0)
         lam, vec = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
         weights = np.einsum("ik,ij,jk->k", vec.conj(), gram, vec).real
-        return float((lam - lam[0]) @ weights)
+        return float(level_norms.sum() / self.dim), float((lam - lam[0]) @ weights)
 
     def __call__(self, values):
-        return self._error(*self.factor.gram(values))
+        return float(self._residual(*self.factor.gram(values))[1].sum() / self.dim)
 
     def value_and_grad(self, values):
         """(eps, d eps / d values); eps is bit-equal to ``self(values)``."""
@@ -330,7 +310,7 @@ def weighted_error(rho0, record, model):
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"state dim {rho0.dim} != model dim {model.dim}")
     predictor = PopulationPredictor(model, record.times)
-    return _WeightedCost(predictor, record).state_error(rho0.matrix)
+    return _WeightedCost(predictor, record).certificate(rho0.matrix)[0]
 
 
 def _params_for_state(matrix, n):
@@ -338,7 +318,7 @@ def _params_for_state(matrix, n):
     blended = (1.0 - 1e-9) * matrix + 1e-9 * np.eye(n) / n
     blended = 0.5 * (blended + blended.conj().T)
     blended /= blended.trace().real
-    return rho_to_params(DensityMatrix(blended)).values
+    return rho_to_params(DensityMatrix(blended))
 
 
 def _linear_inversion_start(predictor, record):
@@ -384,7 +364,7 @@ def _diagonal_start(record):
     diag = np.clip(record.means[:, 0], 1e-9, None)
     diag = diag / diag.sum()
     guess = 0.75 * np.diag(diag.astype(complex)) + 0.25 * np.eye(n) / n
-    return rho_to_params(DensityMatrix(guess)).values
+    return rho_to_params(DensityMatrix(guess))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +372,7 @@ class ReconstructionResult:
     """Estimated initial state with its error, certificate and optimizer diagnostics.
 
     ``gap`` is the Frank-Wolfe gap of ``epsilon`` at ``rho0`` (see
-    ``_WeightedCost.frank_wolfe_gap``): no state has an error below
+    ``_WeightedCost.certificate``): no state has an error below
     ``epsilon - gap``.
     """
 
@@ -438,8 +418,8 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
         cost, lambda rng: descent.best_x, replace(cfg, simplex=polish_budget, restarts=1)
     )
     opt = replace(polish, evals=descent.evals + polish.evals)
-    rho0 = params_to_rho(StateParams(dim=model.dim, values=opt.best_x))
-    epsilon = cost.state_error(rho0.matrix)
+    rho0 = params_to_rho(opt.best_x)
+    epsilon, gap = cost.certificate(rho0.matrix)
     if epsilon > epsilon_ceiling:
         raise NoConvergence(
             f"best reconstruction error {epsilon:.3e} exceeds ceiling {epsilon_ceiling:.3e}"
@@ -447,7 +427,7 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     return ReconstructionResult(
         rho0=rho0,
         epsilon=epsilon,
-        gap=cost.frank_wolfe_gap(rho0.matrix),
+        gap=gap,
         opt=opt,
         gamma_used=model.gamma,
         window=(0.0, float(record.times[-1])),
@@ -537,8 +517,10 @@ def sweep_gamma(record, hamiltonian, windows, gammas, cfg=None):
     record, and stores the resulting error; the per-window optimal rate
     is the row argmin with ties broken toward the smaller gamma.  Failed
     cells record +inf instead of aborting the sweep; a window where every
-    cell failed has no optimal rate and reports NaN.
+    cell failed has no optimal rate and reports NaN.  A record whose dim
+    is not the Hamiltonian's raises DimensionMismatch before any cell.
     """
+    _check_record_model(record, hamiltonian)
     windows = np.sort(np.asarray(windows, dtype=float).ravel())
     gammas = np.sort(np.asarray(gammas, dtype=float).ravel())
     if gammas.size == 0:

@@ -338,21 +338,21 @@ class TestCriterion8Invariants:
         scales = 10.0 ** rng.uniform(-6.0, 6.0, size=100_000)
         for i in range(100_000):
             values = rng.standard_normal(25) * scales[i]
-            rho = pt.params_to_rho(pt.StateParams(5, values))
+            rho = pt.params_to_rho(values)
             m = rho.matrix
             assert abs(m.trace().real - 1.0) <= 1e-10
             assert np.abs(m - m.conj().T).max() <= 1e-12
         # eigenvalue check on a subsample (eigh dominates otherwise)
         for _ in range(5000):
-            rho = pt.params_to_rho(pt.StateParams(5, rng.standard_normal(25)))
+            rho = pt.params_to_rho(rng.standard_normal(25))
             assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
         # gauge invariance
         for _ in range(1000):
             values = rng.standard_normal(25)
-            base = pt.params_to_rho(pt.StateParams(5, values)).matrix
+            base = pt.params_to_rho(values).matrix
             for c in (-3.0, 0.1, 7.0):
-                scaled = pt.params_to_rho(pt.StateParams(5, c * values)).matrix
+                scaled = pt.params_to_rho(c * values).matrix
                 assert np.abs(scaled - base).max() <= 1e-12
 
         # round trip and surjectivity onto random full-rank states

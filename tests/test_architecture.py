@@ -8,7 +8,8 @@ calls neither ``write_csv`` nor ``write_json``.  No module imports
 ``scipy.optimize``.  Every explicit ``raise`` raises a ``PoptomoError``
 subclass, so the CLI maps it to an exit code, except for two named
 exceptions.  Every name that the benchmark's tracer wraps is bound in
-the module it looks in.
+the module it looks in.  The public surface is the listed ``PUBLIC``,
+so adding or removing a name is an explicit edit here.
 """
 
 import ast
@@ -18,6 +19,21 @@ import pathlib
 from types import SimpleNamespace
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PUBLIC = (
+    "ConvergencePoint", "DegenerateParams", "DensityMatrix", "DimensionMismatch", "EmptyWindow",
+    "EvolutionModel", "ExperimentConfig", "FactorizationFailure", "GammaSweepResult",
+    "GenericHamiltonian", "GridMismatch", "HamiltonianSpec", "InvalidState", "Ladder5",
+    "MeasurementRecord", "NoConvergence", "NonFiniteObjective", "NonHermitianInput",
+    "NumericalDrift", "NumericalError", "OptResult", "ParseError", "PoptomoError",
+    "PopulationPredictor", "PreparationSchedule", "PulseSegment", "ReconstructionResult",
+    "SchemaError", "SimplexConfig", "SubplexConfig", "ValidationError", "build_hamiltonian",
+    "convergence_study", "evolve", "infer_grid_step", "lindblad_rhs", "liouvillian_matrix",
+    "load_record", "make_propagator", "multi_start", "nelder_mead", "params_to_rho",
+    "pi_half_duration", "populations", "prepare_pulse_state", "reconstruct", "rho_to_params",
+    "run_preparation", "save_record", "shot_noise_floor", "subplex", "sweep_gamma",
+    "synthesize_record", "truncate_record", "uhlmann_fidelity", "unvectorize", "vectorize",
+    "weighted_error",
+)
 SRC = ROOT / "src" / "poptomo"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -161,3 +177,11 @@ def test_tracer_wraps_and_restores_every_binding():
         after = vars(module)
         assert after.keys() == before[name].keys()
         assert [attr for attr, value in before[name].items() if after[attr] is not value] == []
+
+
+def test_public_surface_is_the_listed_one():
+    import poptomo
+
+    assert len(set(poptomo.__all__)) == len(poptomo.__all__)
+    assert tuple(sorted(poptomo.__all__)) == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(poptomo, name)] == []

@@ -221,6 +221,29 @@ def test_sweep_gamma_failed_window_writes_null(workspace, tmp_path, monkeypatch,
     assert capsys.readouterr().out == "gamma_opt per window: 17.4us->none\n"
 
 
+def test_sweep_gamma_dimension_mismatch_exits_2(workspace, tmp_path, capsys):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    three_level = {"hamiltonian": {"type": "generic", "real": np.diag([0.0, 1.0, 2.0]).tolist()}}
+    workspace["model"].write_text(json.dumps(three_level))
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep-gamma",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--windows", "10e-6:17.4e-6:2",
+        "--gammas", "0:750:2",
+        "--out", out,
+    )
+    assert code == 2
+    assert "record dim 5 != model dim 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_delta_units_flag_changes_model(workspace):
     from poptomo.experiment import load_model
 
@@ -341,6 +364,17 @@ MALFORMED_INPUTS = {
         "model",
         lambda m: {**m, "hamiltonian": {"type": "generic", "real": [[0.0] * 5] * 5}, "delta_units": 7},
     ),
+    "model_not_json": ("model", '{"gamma_hz": '),
+    "model_hamiltonian_number": ("model", lambda m: {**m, "hamiltonian": 5}),
+    "model_unknown_type": ("model", lambda m: {**m, "hamiltonian": {"type": "ladder7"}}),
+    "model_generic_no_real": ("model", lambda m: {**m, "hamiltonian": {"type": "generic"}}),
+    "model_generic_imag_shape": (
+        "model",
+        lambda m: {
+            **m, "hamiltonian": {"type": "generic", "real": [[0.0] * 5] * 5, "imag": [[0.0] * 4] * 4}
+        },
+    ),
+    "record_empty": ("record", ""),
 }
 
 
@@ -352,9 +386,13 @@ def test_malformed_input_exits_2(workspace, tmp_path, case):
         "--state", workspace["schedule"],
         "--out", workspace["record"],
     ) == 0
+    # a corruption is a function of the parsed file, or the file's new text
     which, corrupt = MALFORMED_INPUTS[case]
-    path = workspace["model"] if which == "model" else tmp_path / "rec.meta.json"
-    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    path = {"model": workspace["model"], "record": workspace["record"]}.get(
+        which, tmp_path / "rec.meta.json"
+    )
+    text = corrupt if isinstance(corrupt, str) else json.dumps(corrupt(json.loads(path.read_text())))
+    path.write_text(text)
     code = run_cli(
         "reconstruct",
         "--record", workspace["record"],
@@ -396,6 +434,8 @@ def test_sidecar_warnings_not_a_list_exits_2(workspace, tmp_path, warnings):
     "which, field, value",
     [
         ("schedule", "segments", 5),
+        ("schedule", "segments", [5]),
+        ("schedule", "initial_state", None),
         ("config", "noiseless", "false"),
         ("config", "noiseless", "no"),
         ("schedule", "initial_state", True),

@@ -102,6 +102,80 @@ class TestWeightedError:
             pt.weighted_error(rho3, record, ladder_model)
 
 
+class TestStateMap:
+    def test_identity_factor_gives_maximally_mixed(self):
+        rho = pt.params_to_rho(np.array([1.0, 1.0, 0.0, 0.0]))
+        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2.0, atol=1e-15)
+
+    def test_single_entry_factor_gives_pure_state(self):
+        rho = pt.params_to_rho(np.array([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(
+            rho.matrix, pt.DensityMatrix.basis_state(2, 0).matrix, atol=1e-15
+        )
+
+    def test_random_params_give_valid_spectra(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            rho = pt.params_to_rho(rng.standard_normal(25))
+            eigs = np.linalg.eigvalsh(rho.matrix)
+            assert eigs[0] >= -1e-12
+            assert eigs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_totality_over_wild_scales(self):
+        rng = np.random.default_rng(1)
+        scales = np.array([1e-8, 1e-3, 1.0, 1e4, 1e8])
+        for i in range(2000):
+            values = rng.standard_normal(25) * scales[i % scales.size]
+            rho = pt.params_to_rho(values)
+            assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-12
+
+    def test_gauge_invariance(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            values = rng.standard_normal(25)
+            base = pt.params_to_rho(values)
+            for c in (-3.0, 0.1, 7.0):
+                scaled = pt.params_to_rho(c * values)
+                assert np.abs(scaled.matrix - base.matrix).max() < 1e-12
+
+    def test_round_trip_maximally_mixed(self):
+        rho = pt.DensityMatrix.maximally_mixed(5)
+        back = pt.params_to_rho(pt.rho_to_params(rho))
+        assert np.abs(back.matrix - rho.matrix).max() < 1e-12
+
+    def test_round_trip_random_full_rank(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            rho = pt.DensityMatrix(oracles.random_density(rng, 5))
+            back = pt.params_to_rho(pt.rho_to_params(rho))
+            assert np.abs(back.matrix - rho.matrix).max() < 1e-9
+
+    def test_round_trip_pure_state_uses_jitter(self):
+        rho = pt.DensityMatrix.basis_state(5, 0)
+        back = pt.params_to_rho(pt.rho_to_params(rho))
+        assert np.abs(back.matrix - rho.matrix).max() < 1e-9
+
+    def test_factor_has_positive_diagonal(self):
+        rng = np.random.default_rng(4)
+        rho = pt.DensityMatrix(oracles.random_density(rng, 5))
+        values = pt.rho_to_params(rho)
+        assert np.all(values[:5] > 0.0)
+
+    def test_all_zero_params_rejected(self):
+        with pytest.raises(pt.DegenerateParams):
+            pt.params_to_rho(np.zeros(9))
+
+    def test_non_finite_params_rejected(self):
+        values = np.ones(9)
+        values[4] = np.nan
+        with pytest.raises(pt.DegenerateParams):
+            pt.params_to_rho(values)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(pt.DimensionMismatch):
+            pt.params_to_rho(np.ones(8))
+
+
 def random_kernel_case(seed, dim, n_times=9):
     """Cost kernel on a random model and a noisy record of an unrelated state."""
     rng = np.random.default_rng(seed)
@@ -126,11 +200,11 @@ class TestCostKernel:
     def test_matches_reference_path(self, seed, dim):
         predictor, record, cost = random_kernel_case(seed, dim)
         values = np.random.default_rng(seed).standard_normal(dim * dim)
-        rho = pt.params_to_rho(pt.StateParams(dim=dim, values=values))
+        rho = pt.params_to_rho(values)
         predicted = predictor.populations(pt.vectorize(rho.matrix))
         expected = oracles.weighted_error_reference(predicted, record.means, record.sigmas)
         assert cost(values) == pytest.approx(expected, rel=1e-13, abs=0.0)
-        assert cost.state_error(rho.matrix) == pytest.approx(expected, rel=1e-13, abs=0.0)
+        assert cost.certificate(rho.matrix)[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 5))
@@ -207,6 +281,9 @@ class TestInferGridStep:
     def test_incommensurate_times_rejected(self):
         with pytest.raises(pt.GridMismatch):
             pt.infer_grid_step(np.array([1.0e-6, np.pi * 1e-6]))
+        # close enough to 2 for the fraction, too far for the grid tolerance
+        with pytest.raises(pt.GridMismatch, match="not a multiple of the grid step"):
+            pt.infer_grid_step([1.0, 2.0000003])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -580,6 +657,13 @@ class TestSweepGamma:
         assert np.isinf(sweep.error_surface[0]).all()
         assert np.isnan(sweep.gamma_opt[0])
         assert sweep.gamma_opt[1] == 300.0
+
+    def test_dimension_mismatch_rejected(self, ladder_model):
+        # every cell would fail alike, which a cell's +inf would hide
+        record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
+        three_level = pt.GenericHamiltonian(np.diag([0.0, 1.0, 2.0]).astype(complex))
+        with pytest.raises(pt.DimensionMismatch, match="record dim 5"):
+            pt.sweep_gamma(record, three_level, [record.span], [0.0, 300.0])
 
     def test_no_gamma_rejected(self, ladder, ladder_model):
         record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
