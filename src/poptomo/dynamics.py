@@ -25,6 +25,7 @@ i.e. index 0 is the stretched m_F = +2 sublevel.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -50,12 +51,13 @@ EVOLVE_PSD_ATOL = 1e-8
 
 
 def _square_complex(entries, what):
-    m = np.asarray(entries, dtype=complex)
+    """A finite square complex copy of ``entries`` and its Hermiticity defect max|M - M^H|."""
+    m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what} must be a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{what} has non-finite entries")
-    return m
+    return m, np.abs(m - m.conj().T).max()
 
 
 def require_finite(obj, *names):
@@ -77,8 +79,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, entries, *, psd_atol=PSD_ATOL):
-        m = _square_complex(entries, "density matrix").copy()
-        herm_defect = np.abs(m - m.conj().T).max()
+        m, herm_defect = _square_complex(entries, "density matrix")
         if herm_defect > HERMITICITY_ATOL:
             raise InvalidState(f"not Hermitian: max |rho - rho^H| = {herm_defect:.3e}")
         trace_defect = abs(m.trace() - 1.0)
@@ -97,7 +98,7 @@ class DensityMatrix:
     @classmethod
     def basis_state(cls, dim, index):
         """Pure state |index><index| in the fixed sublevel basis."""
-        if isinstance(index, (bool, np.bool_)) or not 0 <= index < dim:
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral) or not 0 <= index < dim:
             raise DimensionMismatch(f"basis index must be an integer in [0, {dim}), got {index!r}")
         m = np.zeros((dim, dim), dtype=complex)
         m[index, index] = 1.0
@@ -148,11 +149,9 @@ class GenericHamiltonian:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _square_complex(self.entries, "Hamiltonian")
-        defect = np.abs(m - m.conj().T).max()
+        m, defect = _square_complex(self.entries, "Hamiltonian")
         if defect > HERMITICITY_ATOL:
             raise NonHermitianInput(f"max |H - H^H| = {defect:.3e}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -202,12 +201,12 @@ class EvolutionModel:
 
 
 def lindblad_rhs(rho, model):
-    """Right-hand side drho/dt for a state under the given model.
+    """Right-hand side drho/dt for a DensityMatrix under the given model.
 
     Returns -i[H, rho] + 2*gamma*(diag(rho) - rho) as a plain array.
     """
     H = build_hamiltonian(model.hamiltonian)
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _square_complex(rho, "rho")
+    m = rho.matrix
     if m.shape[0] != H.shape[0]:
         raise DimensionMismatch(
             f"state dim {m.shape[0]} != Hamiltonian dim {H.shape[0]}"

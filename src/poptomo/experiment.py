@@ -236,8 +236,18 @@ def _delta_units(obj, override):
     return override or units
 
 
-def _delta_to_angular(value, delta_units):
-    return value * TWO_PI if delta_units == "ordinary" else value
+def _ladder_drive(obj, delta_units):
+    """(omega, delta1, delta2) in rad/s from a ladder model's or a schedule segment's fields."""
+    omega = TWO_PI * json_number(obj, "rabi_hz", None)
+    d1 = json_number(obj, "delta1", 0.0)
+    d2 = json_number(obj, "delta2", 0.0)
+    if "delta1_rad_s" in obj or "delta2_rad_s" in obj:
+        d1 = json_number(obj, "delta1_rad_s", 0.0)
+        d2 = json_number(obj, "delta2_rad_s", 0.0)
+        delta_units = "angular"
+    if delta_units == "ordinary":
+        d1, d2 = d1 * TWO_PI, d2 * TWO_PI
+    return omega, d1, d2
 
 
 def _parse_hamiltonian(obj, delta_units):
@@ -246,18 +256,7 @@ def _parse_hamiltonian(obj, delta_units):
         raise SchemaError("hamiltonian", "expected an object with a 'type' field")
     kind = obj["type"]
     if kind == "ladder5":
-        rabi = json_number(obj, "rabi_hz", None)
-        d1 = json_number(obj, "delta1", 0.0)
-        d2 = json_number(obj, "delta2", 0.0)
-        if "delta1_rad_s" in obj or "delta2_rad_s" in obj:
-            d1 = json_number(obj, "delta1_rad_s", 0.0)
-            d2 = json_number(obj, "delta2_rad_s", 0.0)
-            delta_units = "angular"
-        return Ladder5(
-            rabi_omega=TWO_PI * rabi,
-            delta1=_delta_to_angular(d1, delta_units),
-            delta2=_delta_to_angular(d2, delta_units),
-        )
+        return Ladder5(*_ladder_drive(obj, delta_units))
     if kind == "generic":
         return GenericHamiltonian(entries=parts_to_matrix(obj, "hamiltonian"))
     raise SchemaError("hamiltonian", f"unknown type {kind!r}")
@@ -349,15 +348,9 @@ def _parse_schedule(obj, delta_units):
     for i, seg in enumerate(json_field(obj, "segments", [], list)):
         if not isinstance(seg, dict):
             raise SchemaError(f"segments[{i}]", "expected an object")
-        segments.append(
-            PulseSegment(
-                duration=json_number(seg, "duration_s", None),
-                omega=TWO_PI * json_number(seg, "rabi_hz", None),
-                delta1=_delta_to_angular(json_number(seg, "delta1", 0.0), delta_units),
-                delta2=_delta_to_angular(json_number(seg, "delta2", 0.0), delta_units),
-                gamma=json_number(seg, "gamma_hz", 0.0),
-            )
-        )
+        duration = json_number(seg, "duration_s", None)
+        drive = _ladder_drive(seg, delta_units)
+        segments.append(PulseSegment(duration, *drive, gamma=json_number(seg, "gamma_hz", 0.0)))
     return PreparationSchedule(initial_state=rho, segments=segments)
 
 

@@ -161,6 +161,11 @@ def parts_to_matrix(obj, what):
     imag = _number_array(obj, "imag", what) if "imag" in obj else np.zeros_like(real)
     if real.shape != imag.shape:
         raise SchemaError(what, "real and imag parts differ in shape")
+    if "dim" in obj:
+        key = f"{what}.dim"
+        # a scalar part has no rows: the state's or Hamiltonian's shape check names it
+        if real.shape[:1] not in ((), (json_number({key: obj["dim"]}, key, None, int),)):
+            raise SchemaError(key, f"says {obj['dim']!r} levels, the matrix has {len(real)} rows")
     # filled part by part: real + 1j * imag would turn a -0.0 into +0.0
     matrix = np.empty(real.shape, dtype=complex)
     matrix.real = real
@@ -240,19 +245,14 @@ def load_record(path):
         raise ParseError(
             f"header must be time_s, p_1..p_n, sigma_1..sigma_n, got {header!r}", line=1
         )
-    times, means, sigmas = [], [], []
+    table = np.empty((len(rows) - 1, len(header)))
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} columns, got {len(row)}", line=lineno
             )
-        values = [_parse_float(cell, lineno, col + 1) for col, cell in enumerate(row)]
-        times.append(values[0])
-        means.append(values[1 : 1 + n])
-        sigmas.append(values[1 + n :])
-    times = np.array(times)
-    means = np.array(means).T
-    sigmas = np.array(sigmas).T
+        table[lineno - 2] = [_parse_float(cell, lineno, col + 1) for col, cell in enumerate(row)]
+    times, means, sigmas = table[:, 0], table[:, 1 : 1 + n].T, table[:, 1 + n :].T
 
     repeats = 1
     meta = {}

@@ -356,6 +356,7 @@ MALFORMED_INPUTS = {
     "sidecar_atoms_string": ("sidecar", _with_atoms("abc")),
     "sidecar_atoms_bool": ("sidecar", _with_atoms(True)),
     "sidecar_atoms_fractional": ("sidecar", _with_atoms(2.5)),
+    "sidecar_atoms_zero": ("sidecar", _with_atoms(0)),
     "model_gamma_numeric_string": ("model", lambda m: {**m, "gamma_hz": "375"}),
     "model_generic_bool_entries": (
         "model", lambda m: {**m, "hamiltonian": {"type": "generic", "real": [[False] * 5] * 5}}
@@ -441,6 +442,7 @@ def test_sidecar_warnings_not_a_list_exits_2(workspace, tmp_path, warnings):
         ("schedule", "initial_state", True),
         ("schedule", "initial_state", {"real": [[True] + [False] * 4] + [[False] * 5] * 4}),
         ("config", "hamiltonian", {"type": "generic", "real": [["0"] * 5] * 5}),
+        ("schedule", "initial_state", {"dim": 3, "real": [[1.0] + [0.0] * 4] + [[0.0] * 5] * 4}),
     ],
 )
 def test_mistyped_simulate_input_exits_2(workspace, capsys, which, field, value):

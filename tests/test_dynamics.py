@@ -20,8 +20,9 @@ class TestDensityMatrix:
         assert rho.dim == 5
         assert rho.matrix[0, 0] == 1.0
         assert np.abs(rho.matrix).sum() == 1.0
+        assert pt.DensityMatrix.basis_state(5, np.int64(2)).matrix[2, 2] == 1.0
 
-    @pytest.mark.parametrize("index", [True, False, np.True_])
+    @pytest.mark.parametrize("index", [True, False, np.True_, 1.5, 2.0, "1", None])
     def test_basis_state_rejects_boolean_index(self, index):
         with pytest.raises(pt.ValidationError, match="integer"):
             pt.DensityMatrix.basis_state(5, index)
@@ -31,6 +32,19 @@ class TestDensityMatrix:
         m[0, 1] = 1e-6
         with pytest.raises(pt.InvalidState):
             pt.DensityMatrix(m)
+
+    @pytest.mark.parametrize("build", [pt.DensityMatrix, pt.GenericHamiltonian])
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            (np.full((2, 3), 0.5), pt.DimensionMismatch),
+            (np.full(4, 0.25), pt.DimensionMismatch),
+            (np.array([[0.5, np.nan], [np.nan, 0.5]]), pt.ValidationError),
+        ],
+    )
+    def test_matrix_must_be_square_and_finite(self, build, entries, error):
+        with pytest.raises(error, match="square|non-finite"):
+            build(entries)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(pt.InvalidState):
@@ -49,6 +63,8 @@ class TestDensityMatrix:
     def test_from_state_vector_normalizes(self):
         rho = pt.DensityMatrix.from_state_vector([3.0, 4.0j])
         assert rho.matrix[0, 0] == pytest.approx(9.0 / 25.0)
+        with pytest.raises(pt.InvalidState, match="zero norm"):
+            pt.DensityMatrix.from_state_vector([0.0, 0.0])
 
 
 class TestBuildHamiltonian:
@@ -130,6 +146,11 @@ def test_non_finite_drive_field_rejected(ladder, field, value):
             pt.EvolutionModel(hamiltonian=ladder, gamma=value)
         else:
             dataclasses.replace(ladder, **{field: value})
+
+
+def test_negative_dephasing_rate_rejected(ladder):
+    with pytest.raises(pt.InvalidState, match="dephasing rate"):
+        pt.EvolutionModel(hamiltonian=ladder, gamma=-1.0)
 
 
 class TestLindbladRhs:
@@ -371,6 +392,8 @@ class TestEvolve:
     def test_zero_steps_returns_input(self, ladder_model):
         rho = pt.DensityMatrix.basis_state(5, 2)
         assert pt.evolve(rho, pt.make_propagator(ladder_model, 1e-6), 0) is rho
+        with pytest.raises(pt.InvalidState, match="steps"):
+            pt.evolve(rho, pt.make_propagator(ladder_model, 1e-6), -1)
 
     @pytest.mark.parametrize("steps", [0, 1])
     def test_step_of_another_dimension_rejected(self, steps):

@@ -12,10 +12,11 @@ import oracles
 from poptomo.experiment import (
     config_to_dict,
     load_experiment_config,
+    load_model,
     load_state_or_schedule,
     save_state,
 )
-from poptomo.records import write_json
+from poptomo.records import matrix_to_parts, write_json
 
 TWO_PI = 2.0 * np.pi
 
@@ -110,6 +111,12 @@ class TestSynthesizeRecord:
             pt.ExperimentConfig(hamiltonian=ladder, delta_units="radians")
         with pytest.raises(pt.ValidationError, match="rng_seed"):
             pt.ExperimentConfig(hamiltonian=ladder, rng_seed=-1)
+        with pytest.raises(pt.ValidationError, match="atoms_per_shot"):
+            pt.ExperimentConfig(hamiltonian=ladder, atoms_per_shot=0)
+        with pytest.raises(pt.ValidationError, match="detuning_noise"):
+            pt.ExperimentConfig(hamiltonian=ladder, detuning_noise=-1.0)
+        with pytest.raises(pt.InvalidState, match="dim"):
+            pt.synthesize_record(pt.DensityMatrix.maximally_mixed(3), pt.ExperimentConfig(ladder))
 
 
 NON_FINITE_FIELDS = [
@@ -290,6 +297,52 @@ class TestPreparation:
             basis_state_index(7)
         with pytest.raises(pt.ValidationError):
             basis_state_index(True)
+
+
+DRIVE_KEYS = [
+    # (detuning fields, the file's delta_units, the loader's delta_units)
+    ({"delta1": 3e3, "delta2": 11e3}, None, None),
+    ({"delta1": 3e3, "delta2": 11e3}, "angular", None),
+    ({"delta1": 3e3, "delta2": 11e3}, None, "angular"),
+    ({"delta1": 3e3, "delta2": 11e3}, "angular", "ordinary"),
+    ({"delta1_rad_s": 2e4, "delta2_rad_s": 7e4}, None, None),
+    ({"delta1_rad_s": 2e4}, None, "ordinary"),
+]
+
+
+@pytest.mark.parametrize("fields, file_units, units", DRIVE_KEYS)
+def test_segment_reads_the_drive_a_model_reads(tmp_path, fields, file_units, units):
+    drive = {"rabi_hz": 60e3, **fields}
+    extra = {} if file_units is None else {"delta_units": file_units}
+    write_json(tmp_path / "model.json", {"hamiltonian": {"type": "ladder5", **drive}, **extra})
+    segment = {"duration_s": 2e-6, **drive}
+    write_json(tmp_path / "prep.json", {"initial_state": "mF=+2", "segments": [segment], **extra})
+    h = load_model(tmp_path / "model.json", units).hamiltonian
+    assert h.delta1 != 0.0
+    want = pt.run_preparation(
+        pt.PreparationSchedule(
+            initial_state=pt.DensityMatrix.basis_state(5, 0),
+            segments=[pt.PulseSegment(2e-6, h.rabi_omega, h.delta1, h.delta2)],
+        )
+    )
+    got = load_state_or_schedule(tmp_path / "prep.json", units)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 6, 5.5, "five", True])
+@pytest.mark.parametrize("where", ["state", "rho0"])
+def test_state_file_dim_must_match_the_matrix(tmp_path, where, dim):
+    def state_file(parts):
+        write_json(tmp_path / "s.json", parts if where == "state" else {"rho0": parts})
+        return tmp_path / "s.json"
+
+    parts = matrix_to_parts(np.eye(5) / 5)
+    assert load_state_or_schedule(state_file({"dim": 5, **parts})).dim == 5
+    with pytest.raises(pt.SchemaError, match=rf"{where}\.dim"):
+        load_state_or_schedule(state_file({"dim": dim, **parts}))
+    # a part that is not a matrix is still the state's own error
+    with pytest.raises(pt.DimensionMismatch):
+        load_state_or_schedule(state_file({"dim": 1, "real": 1.0}))
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

@@ -20,10 +20,11 @@ def simple_record(n_times=6):
 
 
 class TestValidation:
-    def test_non_increasing_times(self):
+    @pytest.mark.parametrize("times", [[0.0, 1e-6, 1e-6], [], [0.0, np.nan, 2e-6]])
+    def test_non_increasing_times(self, times):
         with pytest.raises(pt.SchemaError, match="times"):
             pt.MeasurementRecord(
-                times=np.array([0.0, 1e-6, 1e-6]),
+                times=np.array(times),
                 means=np.full((2, 3), 0.5),
                 sigmas=np.full((2, 3), 0.01),
             )
@@ -31,12 +32,15 @@ class TestValidation:
     def test_column_sum_slack(self):
         means = np.full((2, 3), 0.5)
         means[0, 1] = 0.54  # column sums to 1.04 > 1.02
-        with pytest.raises(pt.SchemaError, match="means"):
-            pt.MeasurementRecord(
-                times=np.arange(3) * 1e-6,
-                means=means,
-                sigmas=np.full((2, 3), 0.01),
-            )
+        nan_means = np.full((2, 3), 0.5)
+        nan_means[1, 2] = np.nan
+        for bad in (means, np.full(3, 0.5), nan_means):
+            with pytest.raises(pt.SchemaError, match="means"):
+                pt.MeasurementRecord(
+                    times=np.arange(3) * 1e-6,
+                    means=bad,
+                    sigmas=np.full((2, 3), 0.01),
+                )
 
     def test_zero_sigma_rejected_on_direct_construction(self):
         with pytest.raises(pt.SchemaError, match="sigmas"):

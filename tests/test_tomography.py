@@ -94,6 +94,8 @@ class TestWeightedError:
         rho = pt.DensityMatrix.maximally_mixed(5)
         with pytest.raises(pt.GridMismatch):
             pt.weighted_error(rho, record, ladder_model)
+        with pytest.raises(pt.GridMismatch, match="sorted"):
+            pt.PopulationPredictor(ladder_model, times[::-1])
 
     def test_dimension_mismatch(self, ladder_model):
         rho3 = pt.DensityMatrix.maximally_mixed(3)
