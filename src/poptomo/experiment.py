@@ -239,12 +239,12 @@ def _delta_units(obj, override):
 def _ladder_drive(obj, delta_units):
     """(omega, delta1, delta2) in rad/s from a ladder model's or a schedule segment's fields."""
     omega = TWO_PI * json_number(obj, "rabi_hz", None)
-    d1 = json_number(obj, "delta1", 0.0)
-    d2 = json_number(obj, "delta2", 0.0)
-    if "delta1_rad_s" in obj or "delta2_rad_s" in obj:
-        d1 = json_number(obj, "delta1_rad_s", 0.0)
-        d2 = json_number(obj, "delta2_rad_s", 0.0)
-        delta_units = "angular"
+    angular = "delta1_rad_s" in obj or "delta2_rad_s" in obj
+    if angular and ("delta1" in obj or "delta2" in obj):
+        raise SchemaError("delta1_rad_s", "give delta1/delta2 or delta1_rad_s/delta2_rad_s, not both")
+    suffix, delta_units = ("_rad_s", "angular") if angular else ("", delta_units)
+    d1 = json_number(obj, "delta1" + suffix, 0.0)
+    d2 = json_number(obj, "delta2" + suffix, 0.0)
     if delta_units == "ordinary":
         d1, d2 = d1 * TWO_PI, d2 * TWO_PI
     return omega, d1, d2

@@ -12,6 +12,7 @@ whole reconstruction takes.
 """
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,24 +150,30 @@ def _nm_core(ev, x0, cfg, steps):
 
     Returns (best_x, best_f, reason); never loses its best vertex, so
     the result is no worse than the start point.
+
+    Sorted-simplex invariant: after the first sort, ``sim`` and ``fsim``
+    stay in stable-argsort order (by value, ties in the order they came).
+    A new vertex goes in at its ``bisect_right`` rank, where a stable sort
+    puts the last of equal values; only a shrink sorts in full.
     """
     n = x0.size
     sim = np.repeat(x0[np.newaxis, :], n + 1, axis=0)
     for k in range(n):
         sim[k + 1, k] += steps[k]
-    fsim = np.full(n + 1, math.inf)
+    fsim = [math.inf] * (n + 1)
     try:
         for i in range(n + 1):
             fsim[i] = ev(sim[i])
     except _BudgetExhausted:
         k = int(np.argmin(fsim))
-        return sim[k].copy(), float(fsim[k]), MAX_EVALS
+        return sim[k].copy(), fsim[k], MAX_EVALS
 
     reason = None
+    resort = True
     while reason is None:
-        order = np.argsort(fsim, kind="stable")
-        sim = sim[order]
-        fsim = fsim[order]
+        if resort:
+            order = np.argsort(fsim, kind="stable")
+            sim, fsim, resort = sim[order], [fsim[i] for i in order], False
         if np.abs(sim[1:] - sim[0]).max() < cfg.x_tol:
             reason = XTOL
             break
@@ -174,36 +181,38 @@ def _nm_core(ev, x0, cfg, steps):
             reason = FTOL
             break
         try:
-            centroid = sim[:-1].mean(axis=0)
-            xr = centroid + REFLECTION * (centroid - sim[-1])
+            # sim[:-1].mean(axis=0) bit for bit; REFLECTION is 1, so xr needs no multiply
+            centroid = np.add.reduce(sim[:-1], axis=0) / n
+            away = centroid - sim[-1]
+            xr = centroid + away
             fr = ev(xr)
+            new, fnew = xr, fr
             if fr < fsim[0]:
-                xe = centroid + REFLECTION * EXPANSION * (centroid - sim[-1])
+                xe = centroid + REFLECTION * EXPANSION * away
                 fe = ev(xe)
                 if fe < fr:
-                    sim[-1], fsim[-1] = xe, fe
-                else:
-                    sim[-1], fsim[-1] = xr, fr
-            elif fr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fr
-            else:
+                    new, fnew = xe, fe
+            elif fr >= fsim[-2]:
                 # contract outside if the reflection beat the worst vertex,
                 # else inside; keep the point if it is no worse than the
                 # reflection and better than the worst vertex, else shrink
                 coef = CONTRACTION * REFLECTION if fr < fsim[-1] else -CONTRACTION
-                xc = centroid + coef * (centroid - sim[-1])
-                fc = ev(xc)
-                if fc <= fr and fc < fsim[-1]:
-                    sim[-1], fsim[-1] = xc, fc
-                else:
+                new = centroid + coef * away
+                fnew = ev(new)
+                if not (fnew <= fr and fnew < fsim[-1]):
+                    resort = True
                     for i in range(1, n + 1):
                         xs = sim[0] + SHRINK * (sim[i] - sim[0])
                         fs = ev(xs)
                         sim[i], fsim[i] = xs, fs
+            if not resort:
+                rank = bisect_right(fsim, fnew, 0, n)
+                sim[rank + 1 :], fsim[rank + 1 :] = sim[rank:-1], fsim[rank:-1]
+                sim[rank], fsim[rank] = new, fnew
         except _BudgetExhausted:
             reason = MAX_EVALS
     best = int(np.argmin(fsim))
-    return sim[best].copy(), float(fsim[best]), reason
+    return sim[best].copy(), fsim[best], reason
 
 
 def nelder_mead(f, x0, cfg=None):
@@ -363,20 +372,20 @@ def bfgs(fg, x0, max_evals):
         if not g.any():
             reason = GTOL
             break
-        direction = -(inverse @ g)
-        slope = float(g @ direction)
+        direction = -inverse.dot(g)
+        slope = float(g.dot(direction))
         if slope >= 0.0:
             # rounding cost the inverse its positive definiteness: restart
             inverse = np.eye(x.size)
             scaled = False
             direction = -g
-            slope = -float(g @ g)
+            slope = -float(g.dot(g))
         step = 1.0
         for _ in range(MAX_BACKTRACKS + 1):
             if evals >= max_evals:
                 reason = MAX_EVALS
                 break
-            trial = x + step * direction
+            trial = x + direction if step == 1.0 else x + step * direction  # 1.0 * d is d
             f_trial, g_trial = fg(trial)
             f_trial = float(f_trial)
             evals += 1
@@ -389,18 +398,20 @@ def bfgs(fg, x0, max_evals):
             break
         s = trial - x
         y = g_trial - g
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         try:
             sy2 = sy**2
         except OverflowError:
             sy2 = math.inf
-        if sy > 0.0 and 0.0 < sy2 < math.inf and (scaled or float(y @ y) > 0.0):
+        if sy > 0.0 and 0.0 < sy2 < math.inf and (scaled or float(y.dot(y)) > 0.0):
             if not scaled:
-                inverse *= sy / float(y @ y)
+                inverse *= sy / float(y.dot(y))
                 scaled = True
-            hy = inverse @ y
-            inverse += ((sy + float(y @ hy)) / sy2) * np.outer(s, s)
-            inverse -= np.outer(hy, s / sy) + np.outer(s / sy, hy)
+            hy = inverse.dot(y)
+            inverse += ((sy + float(y.dot(hy))) / sy2) * (s[:, None] * s)
+            # the terms hy (s/sy)^T and (s/sy) hy^T are each other's transpose
+            cross = hy[:, None] * (s / sy)
+            inverse -= cross + cross.T
         x, f, g = trial, f_trial, g_trial
         history.append(f)
         if len(history) > STALL_ITERS and history[-STALL_ITERS - 1] - f <= STALL_RTOL * f:

@@ -266,6 +266,8 @@ def load_record(path):
     warnings = json_field(meta, "warnings", [], list)
     config = json_field(meta, "config", {}, dict)
     atoms = json_number(config, "atoms_per_shot", None, int) if "atoms_per_shot" in config else None
+    if "n_samples" in config and json_number(config, "n_samples", None, int) != times.size:
+        raise SchemaError("n_samples", f"sidecar says {config['n_samples']!r}, the CSV has {times.size}")
     if repeats < 1 or (atoms is not None and atoms < 1):
         raise SchemaError("sidecar", "repeats and atoms_per_shot must be at least 1")
 

@@ -151,32 +151,37 @@ def _factor_slots(dim):
 
 
 class _Factor:
-    """A reused buffer that is the factor T of one dimension."""
+    """Reused buffers for the factor T of one dimension, its conjugate and
+    G = T^H T; each ``gram`` call overwrites them, so it is not reentrant."""
 
-    __slots__ = ("buffer", "T", "slots")
+    __slots__ = ("buffer", "T", "slots", "conj", "G", "G_floats")
 
     def __init__(self, dim):
         self.buffer = np.zeros(2 * dim * dim)
         self.T = self.buffer.view(complex).reshape(dim, dim)
         self.slots = _factor_slots(dim)
+        self.conj = np.empty_like(self.T)
+        self.G = np.empty_like(self.T)
+        self.G_floats = self.G.view(float).reshape(-1)
 
     def gram(self, values):
-        """(T^H T, |p|^2) with T the factor of ``values``.
+        """(G viewed as floats, |p|^2) with T the factor of ``values``.
 
-        |p|^2 is Tr(T^H T) because every parameter enters T exactly once.
+        |p|^2 is Tr(G) because every parameter enters T exactly once.
         """
-        norm = float(values @ values)
+        norm = float(values.dot(values))
         if norm < 1e-300:
             raise DegenerateParams("all-zero parameter vector has no direction")
         self.buffer[self.slots] = values
-        T = self.T
-        return T.conj().T.dot(T), norm
+        np.conjugate(self.T, out=self.conj).T.dot(self.T, out=self.G)
+        return self.G_floats, norm
 
 
 def rho_matrix_from_values(values):
     """Raw-array fast path: normalized T^H T without DensityMatrix checks."""
-    gram, norm = _Factor(math.isqrt(values.size)).gram(values)
-    return gram / norm
+    factor = _Factor(math.isqrt(values.size))
+    norm = factor.gram(values)[1]
+    return factor.G / norm
 
 
 def params_to_rho(values):
@@ -229,9 +234,12 @@ class _WeightedCost:
     the gradient in T is 2 (T herm(Gamma) - (a.g / |p|^2) T), read off at
     the parameter slots.  A level whose residual is exactly zero (a kink
     of eps) contributes the zero subgradient.
+
+    Each evaluation overwrites the ``residual`` (``levels``) and ``work``
+    buffers and the factor's, so an instance is not reentrant.
     """
 
-    __slots__ = ("dim", "rows", "targets", "factor")
+    __slots__ = ("dim", "rows", "targets", "factor", "residual", "levels", "work")
 
     def __init__(self, predictor, record):
         n = predictor.dim
@@ -246,21 +254,25 @@ class _WeightedCost:
         self.rows *= scale[:, None]
         self.targets = record.means.T.reshape(-1) * scale
         self.factor = _Factor(n)
+        self.residual = np.empty(self.targets.size)
+        self.levels = self.residual.reshape(-1, n)
+        self.work = np.empty_like(self.levels)
 
-    def _residual(self, gram, norm):
+    def _residual(self, gram_floats, norm):
         """Weighted residuals as (time, level) and the norm of each level's."""
-        residual = self.rows @ gram.view(float).reshape(-1)
+        residual = self.rows.dot(gram_floats, out=self.residual)
         residual /= norm
         residual -= self.targets
-        residual = residual.reshape(-1, self.dim)
-        return residual, np.sqrt(np.square(residual).sum(axis=0))
+        return self.levels, np.sqrt(np.add.reduce(np.square(self.levels, out=self.work), axis=0))
 
     def _gram_gradient(self, residual, level_norms, norm):
         """The gradient a in G.view(float), as an (n, n) complex Gamma too."""
-        scale = np.divide(
-            1.0, self.dim * level_norms, out=np.zeros_like(level_norms), where=level_norms > 0.0
-        )
-        a = (residual * scale).reshape(-1) @ self.rows
+        scale = self.dim * level_norms
+        if np.minimum.reduce(level_norms) > 0.0:
+            scale = 1.0 / scale
+        else:  # a level at a kink
+            scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=level_norms > 0.0)
+        a = np.dot(np.multiply(residual, scale, out=self.work).reshape(-1), self.rows)
         a /= norm
         return a, a.view(complex).reshape(self.dim, self.dim)
 
@@ -277,24 +289,24 @@ class _WeightedCost:
         zero subgradient keeps the bound valid but not tight.
         """
         gram = np.ascontiguousarray(matrix, dtype=complex)
-        residual, level_norms = self._residual(gram, 1.0)
+        residual, level_norms = self._residual(gram.view(float).reshape(-1), 1.0)
         _, gamma = self._gram_gradient(residual, level_norms, 1.0)
         lam, vec = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
         weights = np.einsum("ik,ij,jk->k", vec.conj(), gram, vec).real
-        return float(level_norms.sum() / self.dim), float((lam - lam[0]) @ weights)
+        return float(np.add.reduce(level_norms) / self.dim), float((lam - lam[0]) @ weights)
 
     def __call__(self, values):
-        return float(self._residual(*self.factor.gram(values))[1].sum() / self.dim)
+        return float(np.add.reduce(self._residual(*self.factor.gram(values))[1]) / self.dim)
 
     def value_and_grad(self, values):
         """(eps, d eps / d values); eps is bit-equal to ``self(values)``."""
-        gram, norm = self.factor.gram(values)
-        residual, level_norms = self._residual(gram, norm)
+        gram_floats, norm = self.factor.gram(values)
+        residual, level_norms = self._residual(gram_floats, norm)
         a, gamma = self._gram_gradient(residual, level_norms, norm)
         T = self.factor.T
-        shrink = 2.0 * float(a @ gram.view(float).reshape(-1)) / norm
-        grad = T @ (gamma + gamma.conj().T) - shrink * T
-        return float(level_norms.sum() / self.dim), grad.view(float).reshape(-1)[self.factor.slots]
+        shrink = 2.0 * float(a.dot(gram_floats)) / norm
+        grad = T.dot(gamma + gamma.conj().T) - shrink * T
+        return float(np.add.reduce(level_norms) / self.dim), grad.view(float).reshape(-1)[self.factor.slots]
 
 
 def _check_record_model(record, model):

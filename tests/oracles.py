@@ -3,13 +3,17 @@
 Everything here is deliberately written from the defining formulas
 (projector sums, explicit commutators, fixed-step RK4, closed-form
 solutions) and never touches the package's vectorized-propagator code
-path, so agreement between the two is meaningful.  The two exceptions
+path, so agreement between the two is meaningful.  Three exceptions
 pin arithmetic, not physics: ``reference_record`` pins the record
 sampler's draw order and memory layout, so it propagates with the
 package's ``make_propagator``; ``linear_inversion_reference`` pins the
 inversion start's design, so it reads the package's predictor matrix
-and ends in the package's parameter map.
+and ends in the package's parameter map; ``nelder_mead_reference`` pins
+the simplex's rounding, so it is the plain loop (a full sort and a
+``mean`` every iteration) with the package's coefficients.
 """
+
+import math
 
 import numpy as np
 
@@ -257,3 +261,86 @@ def linear_inversion_reference(predictor, record):
         return None
     physical = (v * (w / total)) @ v.conj().T
     return _params_for_state(physical, n)
+
+
+def nelder_mead_reference(f, x0, x_tol=1e-8, max_evals=200_000):
+    """The simplex with a full stable argsort, two fancy-index copies and a
+    ``mean`` centroid every iteration, as the defining algorithm reads.
+
+    Counts evaluations, stops on the budget and maps one non-finite value
+    to +inf as ``nelder_mead`` does.  Returns (best_x, best_f, evals,
+    reason, stopped_in_shrink).
+    """
+    import poptomo as pt
+    from poptomo import optimize as o
+
+    class Budget(Exception):
+        pass
+
+    counts = {"evals": 0, "nonfinite": 0}
+
+    def ev(x):
+        if counts["evals"] >= max_evals:
+            raise Budget
+        counts["evals"] += 1
+        value = float(f(x))
+        if not math.isfinite(value):
+            counts["nonfinite"] += 1
+            if counts["nonfinite"] > 1:
+                raise pt.NonFiniteObjective("objective returned a non-finite value more than once")
+            value = math.inf
+        return value
+
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = x0.size
+    steps = np.where(x0 != 0.0, o.INITIAL_STEP * x0, o.INITIAL_STEP)
+    sim = np.repeat(x0[np.newaxis, :], n + 1, axis=0)
+    for k in range(n):
+        sim[k + 1, k] += steps[k]
+    fsim = np.full(n + 1, math.inf)
+    reason, in_shrink = None, False
+    try:
+        for i in range(n + 1):
+            fsim[i] = ev(sim[i])
+    except Budget:
+        reason = o.MAX_EVALS
+    while reason is None:
+        order = np.argsort(fsim, kind="stable")
+        sim = sim[order]
+        fsim = fsim[order]
+        if np.abs(sim[1:] - sim[0]).max() < x_tol:
+            reason = o.XTOL
+            break
+        if fsim[-1] - fsim[0] < o.F_TOL:
+            reason = o.FTOL
+            break
+        try:
+            centroid = sim[:-1].mean(axis=0)
+            xr = centroid + o.REFLECTION * (centroid - sim[-1])
+            fr = ev(xr)
+            if fr < fsim[0]:
+                xe = centroid + o.REFLECTION * o.EXPANSION * (centroid - sim[-1])
+                fe = ev(xe)
+                if fe < fr:
+                    sim[-1], fsim[-1] = xe, fe
+                else:
+                    sim[-1], fsim[-1] = xr, fr
+            elif fr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fr
+            else:
+                coef = o.CONTRACTION * o.REFLECTION if fr < fsim[-1] else -o.CONTRACTION
+                xc = centroid + coef * (centroid - sim[-1])
+                fc = ev(xc)
+                if fc <= fr and fc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fc
+                else:
+                    in_shrink = True
+                    for i in range(1, n + 1):
+                        xs = sim[0] + o.SHRINK * (sim[i] - sim[0])
+                        fs = ev(xs)
+                        sim[i], fsim[i] = xs, fs
+                    in_shrink = False
+        except Budget:
+            reason = o.MAX_EVALS
+    best = int(np.argmin(fsim))
+    return sim[best].copy(), float(fsim[best]), counts["evals"], reason, in_shrink

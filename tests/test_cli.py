@@ -357,6 +357,10 @@ MALFORMED_INPUTS = {
     "sidecar_atoms_bool": ("sidecar", _with_atoms(True)),
     "sidecar_atoms_fractional": ("sidecar", _with_atoms(2.5)),
     "sidecar_atoms_zero": ("sidecar", _with_atoms(0)),
+    "sidecar_n_samples_mismatch": (
+        "sidecar",
+        lambda s: {**s, "meta": {**s["meta"], "config": {**s["meta"]["config"], "n_samples": 40}}},
+    ),
     "model_gamma_numeric_string": ("model", lambda m: {**m, "gamma_hz": "375"}),
     "model_generic_bool_entries": (
         "model", lambda m: {**m, "hamiltonian": {"type": "generic", "real": [[False] * 5] * 5}}

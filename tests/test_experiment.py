@@ -329,6 +329,40 @@ def test_segment_reads_the_drive_a_model_reads(tmp_path, fields, file_units, uni
     assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"delta1": 3e3, "delta2_rad_s": 5.0},
+        {"delta1_rad_s": 2e4, "delta2": 11e3},
+        {"delta1": 3e3, "delta2": 11e3, "delta1_rad_s": 2e4, "delta2_rad_s": 7e4},
+    ],
+)
+def test_mixed_detuning_spellings_rejected(tmp_path, fields):
+    # the ordinary pair must not be dropped in silence, in a model or a segment
+    drive = {"rabi_hz": 60e3, **fields}
+    write_json(tmp_path / "model.json", {"hamiltonian": {"type": "ladder5", **drive}})
+    write_json(tmp_path / "prep.json", {"initial_state": "mF=+2", "segments": [{"duration_s": 2e-6, **drive}]})
+    with pytest.raises(pt.SchemaError, match="^delta1_rad_s: give delta1/delta2 or"):
+        load_model(tmp_path / "model.json")
+    with pytest.raises(pt.SchemaError, match="^delta1_rad_s: give delta1/delta2 or"):
+        load_state_or_schedule(tmp_path / "prep.json")
+
+
+@pytest.mark.parametrize(
+    "fields, want",
+    [
+        ({"delta1": 3e3, "delta2": 11e3}, (3e3 * (2.0 * math.pi), 11e3 * (2.0 * math.pi))),
+        ({"delta2": 11e3}, (0.0, 11e3 * (2.0 * math.pi))),
+        ({"delta1_rad_s": 2e4, "delta2_rad_s": 7e4}, (2e4, 7e4)),
+        ({"delta2_rad_s": 7e4}, (0.0, 7e4)),
+    ],
+)
+def test_single_detuning_spelling_values(tmp_path, fields, want):
+    write_json(tmp_path / "model.json", {"hamiltonian": {"type": "ladder5", "rabi_hz": 60e3, **fields}})
+    h = load_model(tmp_path / "model.json").hamiltonian
+    assert (repr(h.delta1), repr(h.delta2)) == tuple(map(repr, want))
+
+
 @pytest.mark.parametrize("dim", [3, 6, 5.5, "five", True])
 @pytest.mark.parametrize("where", ["state", "rho0"])
 def test_state_file_dim_must_match_the_matrix(tmp_path, where, dim):

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poptomo as pt
+import oracles
 from poptomo.optimize import bfgs
 
 
@@ -325,6 +328,87 @@ class TestPinnedBookkeeping:
                 res = pt.subplex(counted, x0, _subplex_cfg(max_evals))
             assert wiggle(res.best_x) == res.best_f
             assert res.evals == len(calls) <= max_evals
+
+
+def reference_objective(kind, n, seed):
+    """A random convex quadratic, Rosenbrock, or a plateau floor(8 q(x)) of
+    the quadratic, whose ties the simplex must break as a stable sort does."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    hessian = m @ m.T + 0.1 * np.eye(n)
+    center = rng.standard_normal(n)
+
+    def quadratic(x):
+        d = x - center
+        return float(d @ hessian @ d)
+
+    if kind == "rosenbrock":
+        return rosenbrock
+    if kind == "plateau":
+        return lambda x: math.floor(8.0 * quadratic(x))
+    return quadratic
+
+
+def assert_matches_reference(f, x0, cfg):
+    """nelder_mead equals the reference bit for bit; True if the run stopped in a shrink."""
+    want_x, want_f, want_evals, want_reason, in_shrink = oracles.nelder_mead_reference(
+        f, x0, cfg.x_tol, cfg.max_evals
+    )
+    res = pt.nelder_mead(f, x0, cfg)
+    assert res.best_x.tobytes() == want_x.tobytes()
+    assert repr(res.best_f) == repr(want_f)
+    assert (res.evals, res.converged_by) == (want_evals, want_reason)
+    return in_shrink
+
+
+class TestReferenceSimplex:
+    """nelder_mead keeps its simplex sorted by insertion; every bit of a run
+    must equal the reference that argsorts and copies every iteration."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["quadratic", "rosenbrock", "plateau"]),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.integers(0, 2),
+        max_evals=st.integers(1, 600) | st.just(200_000),
+        x_tol=st.sampled_from([1e-8, 1e-4]),
+    )
+    def test_bit_equal_to_the_reference(self, kind, n, seed, zeros, max_evals, x_tol):
+        x0 = np.random.default_rng(seed).standard_normal(n)
+        x0[:zeros] = 0.0  # zero coordinates take the absolute initial step
+        f = reference_objective(kind, n, seed)
+        assert_matches_reference(f, x0, pt.SimplexConfig(x_tol=x_tol, max_evals=max_evals))
+
+    @pytest.mark.parametrize(
+        "f, n",
+        [
+            (wiggle, 2),
+            (wiggle, 4),
+            (reference_objective("plateau", 3, 4), 3),
+            (reference_objective("plateau", 4, 1), 4),
+        ],
+        ids=["wiggle2", "wiggle4", "plateau3", "plateau4"],
+    )
+    def test_every_budget_including_mid_shrink(self, f, n):
+        x0 = np.linspace(-1.0, 1.0, n) + 0.3
+        mid_shrink = [
+            assert_matches_reference(f, x0, pt.SimplexConfig(max_evals=max_evals))
+            for max_evals in range(1, 301)
+        ]
+        assert any(mid_shrink)
+
+    @pytest.mark.parametrize("method, n", [("nelder_mead", 4), ("subplex", 4), ("subplex", 9)])
+    def test_objective_arguments_are_never_written_after_the_call(self, method, n):
+        seen = []
+
+        def recorded(x):
+            seen.append((x, x.copy()))
+            return wiggle(x)
+
+        x0 = np.linspace(-1.0, 1.0, n) + 0.3
+        getattr(pt, method)(recorded, x0, _subplex_cfg(2_000) if method == "subplex" else None)
+        assert all(np.array_equal(x, snapshot) for x, snapshot in seen)
 
 
 class TestMultiStart:

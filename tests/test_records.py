@@ -166,6 +166,7 @@ SIDECAR_SLOTS = [
     ("meta",),
     ("meta", "config"),
     ("meta", "config", "atoms_per_shot"),
+    ("meta", "config", "n_samples"),
     ("meta", "warnings"),
 ]
 
@@ -240,6 +241,19 @@ class TestLoader:
             pt.load_record(path)
         sidecar.write_text(json.dumps({"repeats": 3, "meta": {}}))
         assert pt.load_record(path).repeats == 3  # a sidecar without "dim" still loads
+
+    def test_sidecar_n_samples_must_match_the_csv(self, tmp_path, ladder):
+        # a 16-point record paired with a 40-point record's sidecar
+        def save(name, n_samples, repeats):
+            cfg = pt.ExperimentConfig(hamiltonian=ladder, n_samples=n_samples, repeats=repeats)
+            pt.save_record(pt.synthesize_record(pt.DensityMatrix.basis_state(5, 0), cfg), tmp_path / name)
+
+        save("short.csv", 16, 5)
+        save("long.csv", 40, 9)
+        assert pt.load_record(tmp_path / "short.csv").repeats == 5
+        (tmp_path / "short.meta.json").write_bytes((tmp_path / "long.meta.json").read_bytes())
+        with pytest.raises(pt.SchemaError, match="^n_samples: sidecar says 40, the CSV has 16$"):
+            pt.load_record(tmp_path / "short.csv")
 
     def test_negative_sigma_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"

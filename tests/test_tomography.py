@@ -240,6 +240,30 @@ class TestCostKernel:
         assert abs(values @ grad) <= 1e-12 * np.linalg.norm(values) * np.linalg.norm(grad)
 
 
+@pytest.mark.parametrize("seed, dim", [(0, 2), (1, 3), (2, 5), (3, 5)])
+def test_kink_level_contributes_nothing_to_the_gradient(seed, dim):
+    """A level whose residual is exactly 0 takes the masked branch of the gradient."""
+    _, _, cost = random_kernel_case(seed, dim)
+    _, _, dropped = random_kernel_case(seed, dim)
+    values = np.random.default_rng(seed).standard_normal(dim * dim)
+    level = seed % dim
+    gram_floats, norm = cost.factor.gram(values)
+    # make the level's targets exactly its predictions at ``values``
+    predicted = (cost.rows @ gram_floats) / norm
+    cost.targets[level::dim] = predicted[level::dim]
+    # the same cost without the level at all: its rows and targets are zero
+    dropped.rows[level::dim] = 0.0
+    dropped.targets[level::dim] = 0.0
+    level_norms = cost._residual(*cost.factor.gram(values))[1]
+    assert level_norms[level] == 0.0 and np.count_nonzero(level_norms) == dim - 1
+    f, grad = cost.value_and_grad(values)
+    assert repr(f) == repr(cost(values))
+    f_dropped, grad_dropped = dropped.value_and_grad(values)
+    assert repr(f) == repr(f_dropped)
+    np.testing.assert_array_equal(grad, grad_dropped)
+    assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
 INVERSION_CASES = [("ladder", 5, kind) for kind in ("plain", "noiseless", "drift")] + [
     ("generic", dim, kind) for dim in range(1, 7) for kind in ("plain", "noiseless")
 ]
@@ -443,6 +467,24 @@ class TestReconstruct:
         assert [repr(float(f)) for f in result.opt.per_restart_f] == [
             "0.0003433017355215663",
         ]
+
+    @pytest.mark.parametrize(
+        "gamma, epsilon, gap, evals",
+        [
+            (0.0, "0.0029331439075111565", "3.6301372877058476e-10", 1154),
+            (400.0, "0.0003566998105404591", "-1.6155369870590489e-18", 644),
+            (700.0, "0.003978300106801865", "-1.693850139913311e-18", 485),
+        ],
+    )
+    def test_pinned_sweep_cells(self, ladder, pi_half_state, gamma, epsilon, gap, evals):
+        # the sweep's cell shape: 87 points, 3,000 evaluations, a record
+        # made at 400 s^-1 fitted at three rates
+        truth = pt.EvolutionModel(hamiltonian=ladder, gamma=400.0)
+        record = make_record(truth, pi_half_state, n_samples=87, noiseless=False, seed=500)
+        model = pt.EvolutionModel(hamiltonian=ladder, gamma=gamma)
+        result = pt.reconstruct(record, model, quick_subplex(max_evals=3_000, restarts=1))
+        assert (repr(result.epsilon), repr(result.gap)) == (epsilon, gap)
+        assert (result.opt.evals, result.opt.converged_by) == (evals, "xtol")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_on_pi_half_records(self, ladder_model, pi_half_state, seed):
