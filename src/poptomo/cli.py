@@ -46,14 +46,14 @@ def _parse_range(text):
 def _solver_inputs(args):
     """The record, the model and the optimizer config, read in that order."""
     record = load_record(args.record)
-    model = load_model(args.model, args.delta_units)
+    model = load_model(args.model)
     simplex = SimplexConfig(max_evals=args.max_evals)
     return record, model, SubplexConfig(simplex, restarts=args.restarts, rng_seed=args.seed)
 
 
 def _reference(args):
     """The --reference state or schedule, or None without one."""
-    return load_state_or_schedule(args.reference, args.delta_units) if args.reference else None
+    return load_state_or_schedule(args.reference) if args.reference else None
 
 
 def _add_solver_flags(parser):
@@ -78,23 +78,13 @@ def _add_solver_flags(parser):
         default=SimplexConfig.max_evals,
         help="total evaluation budget of one reconstruction (BFGS and polish together)",
     )
-    _add_delta_units(parser)
-
-
-def _add_delta_units(parser):
-    parser.add_argument(
-        "--delta-units",
-        choices=("angular", "ordinary"),
-        default=None,
-        help="how to read delta1/delta2 in input files (default from file, else ordinary)",
-    )
 
 
 def cmd_simulate(args):
-    cfg = load_experiment_config(args.config, args.delta_units)
+    cfg = load_experiment_config(args.config)
     seed = cfg.rng_seed if args.seed is None else args.seed
     cfg = replace(cfg, rng_seed=seed, noiseless=cfg.noiseless or args.noiseless)
-    rho_true = load_state_or_schedule(args.state, args.delta_units)
+    rho_true = load_state_or_schedule(args.state)
     record = synthesize_record(rho_true, cfg)
     save_record(record, args.out)
     if args.save_state:
@@ -169,7 +159,6 @@ def build_parser():
     p.add_argument("--save-state", default=None, help="also write the prepared state JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config RNG seed")
     p.add_argument("--noiseless", action="store_true", help="exact means, floor sigmas")
-    _add_delta_units(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="reconstruct the initial state from a record")

@@ -14,13 +14,12 @@ the states under test from a named basis state.
 Configs, models, schedules, states, results and the sweep and convergence
 tables are read and written here.  ``rabi_hz`` and ``detuning_noise_hz``
 are ordinary frequencies (multiplied by 2*pi on load), ``gamma_hz`` is a
-plain rate in 1/s, and ``delta1``/``delta2`` follow ``delta_units``:
-"ordinary" (default) multiplies by 2*pi, "angular" takes rad/s verbatim,
-as do ``delta1_rad_s``/``delta2_rad_s`` always.  Matrices use ``records``'
-format.
+plain rate in 1/s, ``delta1``/``delta2`` are ordinary frequencies too
+and ``delta1_rad_s``/``delta2_rad_s`` are taken as rad/s verbatim: a
+detuning key names its unit.  Matrices use ``records``' format.
 
-Each loader takes ``(path, delta_units=None)`` and checks every field of
-its file; the argument overrides the file's ``delta_units`` once checked.
+Each loader takes a path and checks every field of its file; a key the
+file's format does not name is a ``SchemaError``.
 """
 
 import math
@@ -44,6 +43,7 @@ from .dynamics import (
 from .records import (
     MeasurementRecord,
     json_field,
+    json_keys,
     json_number,
     matrix_to_parts,
     parts_to_matrix,
@@ -56,8 +56,6 @@ from .records import (
 from .tomography import PopulationPredictor, prepare_pulse_state
 
 TWO_PI = 2.0 * math.pi
-
-DELTA_UNITS = ("ordinary", "angular")
 
 BASIS_STATE_NAMES = {
     "mF=+2": 0,
@@ -83,8 +81,7 @@ class ExperimentConfig:
 
     Frequencies are angular (rad/s) except ``gamma`` (a plain rate, 1/s)
     and ``detuning_noise`` (rad/s std of the per-shot common-mode
-    detuning offset).  ``delta_units`` records how detunings were
-    interpreted at file ingestion and is carried as provenance only.
+    detuning offset).
     """
 
     hamiltonian: HamiltonianSpec
@@ -96,7 +93,6 @@ class ExperimentConfig:
     rng_seed: int = 0
     noiseless: bool = False
     detuning_noise: float = 0.0
-    delta_units: str = "ordinary"
 
     def __post_init__(self):
         require_finite(self, "gamma", "sample_interval", "detuning_noise")
@@ -112,8 +108,6 @@ class ExperimentConfig:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.detuning_noise < 0.0:
             raise ValidationError("detuning_noise must be >= 0")
-        if self.delta_units not in DELTA_UNITS:
-            raise ValidationError(f"delta_units must be one of {DELTA_UNITS}")
 
     @property
     def times(self):
@@ -223,62 +217,57 @@ def config_to_dict(cfg):
         "rng_seed": cfg.rng_seed,
         "noiseless": cfg.noiseless,
         "detuning_noise_hz": cfg.detuning_noise / TWO_PI,
-        "delta_units": cfg.delta_units,
     }
 
 
-def _delta_units(obj, override):
-    """The detuning units: the override, else the file's (checked either way), else "ordinary"."""
-    units = obj.get("delta_units", "ordinary")
-    for value in (units, override or units):
-        if value not in DELTA_UNITS:
-            raise SchemaError("delta_units", f"expected one of {DELTA_UNITS}, got {value!r}")
-    return override or units
+_DRIVE_KEYS = ("rabi_hz", "delta1", "delta2", "delta1_rad_s", "delta2_rad_s")
 
 
-def _ladder_drive(obj, delta_units):
+def _ladder_drive(obj):
     """(omega, delta1, delta2) in rad/s from a ladder model's or a schedule segment's fields."""
     omega = TWO_PI * json_number(obj, "rabi_hz", None)
     angular = "delta1_rad_s" in obj or "delta2_rad_s" in obj
     if angular and ("delta1" in obj or "delta2" in obj):
         raise SchemaError("delta1_rad_s", "give delta1/delta2 or delta1_rad_s/delta2_rad_s, not both")
-    suffix, delta_units = ("_rad_s", "angular") if angular else ("", delta_units)
+    suffix, scale = ("_rad_s", 1.0) if angular else ("", TWO_PI)  # the key names the unit
     d1 = json_number(obj, "delta1" + suffix, 0.0)
     d2 = json_number(obj, "delta2" + suffix, 0.0)
-    if delta_units == "ordinary":
-        d1, d2 = d1 * TWO_PI, d2 * TWO_PI
-    return omega, d1, d2
+    return omega, scale * d1, scale * d2
 
 
-def _parse_hamiltonian(obj, delta_units):
+def _parse_hamiltonian(obj):
     """Build a Hamiltonian spec from its JSON form."""
     if not isinstance(obj, dict) or "type" not in obj:
         raise SchemaError("hamiltonian", "expected an object with a 'type' field")
     kind = obj["type"]
     if kind == "ladder5":
-        return Ladder5(*_ladder_drive(obj, delta_units))
+        json_keys(obj, "hamiltonian", ("type", *_DRIVE_KEYS))
+        return Ladder5(*_ladder_drive(obj))
     if kind == "generic":
-        return GenericHamiltonian(entries=parts_to_matrix(obj, "hamiltonian"))
+        return GenericHamiltonian(entries=parts_to_matrix(obj, "hamiltonian", ("type",)))
     raise SchemaError("hamiltonian", f"unknown type {kind!r}")
 
 
-def _read_drive(path, delta_units):
-    """A model or config file: its object, detuning units, Hamiltonian and gamma."""
+def _read_drive(path, what, keys):
+    """A model or config file: its object, whose keys must be among ``keys``, Hamiltonian and gamma."""
     obj = read_json(path)
-    units = _delta_units(obj, delta_units)
-    hamiltonian = _parse_hamiltonian(obj.get("hamiltonian", {}), units)
-    return obj, units, hamiltonian, json_number(obj, "gamma_hz", 0.0)
+    json_keys(obj, what, keys)
+    return obj, _parse_hamiltonian(obj.get("hamiltonian", {})), json_number(obj, "gamma_hz", 0.0)
 
 
-def load_model(path, delta_units=None):
-    """EvolutionModel from {hamiltonian, gamma_hz[, delta_units]}."""
-    _, _, hamiltonian, gamma = _read_drive(path, delta_units)
+def load_model(path):
+    """EvolutionModel from {hamiltonian, gamma_hz}."""
+    _, hamiltonian, gamma = _read_drive(path, "model", ("hamiltonian", "gamma_hz"))
     return EvolutionModel(hamiltonian=hamiltonian, gamma=gamma)
 
 
-def load_experiment_config(path, delta_units=None):
+_CONFIG_KEYS = ("hamiltonian", "gamma_hz", "sample_interval_s", "n_samples", "repeats",
+                "atoms_per_shot", "rng_seed", "noiseless", "detuning_noise_hz")
+
+
+def load_experiment_config(path):
     """ExperimentConfig from ``config_to_dict``'s JSON."""
-    obj, units, hamiltonian, gamma = _read_drive(path, delta_units)
+    obj, hamiltonian, gamma = _read_drive(path, "config", _CONFIG_KEYS)
     default = ExperimentConfig  # its class attributes are the field defaults
     return ExperimentConfig(
         hamiltonian=hamiltonian,
@@ -290,7 +279,6 @@ def load_experiment_config(path, delta_units=None):
         rng_seed=json_number(obj, "rng_seed", default.rng_seed, int),
         noiseless=json_field(obj, "noiseless", default.noiseless, bool),
         detuning_noise=TWO_PI * json_number(obj, "detuning_noise_hz", 0.0),
-        delta_units=units,
     )
 
 
@@ -333,7 +321,8 @@ def run_preparation(schedule):
     return rho
 
 
-def _parse_schedule(obj, delta_units):
+def _parse_schedule(obj):
+    json_keys(obj, "schedule", ("initial_state", "segments"))
     initial = obj.get("initial_state")
     if initial is None:
         raise SchemaError("initial_state", "missing")
@@ -348,8 +337,9 @@ def _parse_schedule(obj, delta_units):
     for i, seg in enumerate(json_field(obj, "segments", [], list)):
         if not isinstance(seg, dict):
             raise SchemaError(f"segments[{i}]", "expected an object")
+        json_keys(seg, f"segments[{i}]", ("duration_s", "gamma_hz", *_DRIVE_KEYS))
         duration = json_number(seg, "duration_s", None)
-        drive = _ladder_drive(seg, delta_units)
+        drive = _ladder_drive(seg)
         segments.append(PulseSegment(duration, *drive, gamma=json_number(seg, "gamma_hz", 0.0)))
     return PreparationSchedule(initial_state=rho, segments=segments)
 
@@ -358,7 +348,7 @@ def save_state(rho, path):
     write_json(path, {"dim": rho.dim, **matrix_to_parts(rho.matrix)})
 
 
-def load_state_or_schedule(path, delta_units=None):
+def load_state_or_schedule(path):
     """Accept a state file, a reconstruction result, or a schedule.
 
     Schedules are run through their preparation first; result files
@@ -366,7 +356,7 @@ def load_state_or_schedule(path, delta_units=None):
     """
     obj = read_json(path)
     if "segments" in obj or "initial_state" in obj:
-        return run_preparation(_parse_schedule(obj, _delta_units(obj, delta_units)))
+        return run_preparation(_parse_schedule(obj))
     if "rho0" in obj:
         return DensityMatrix(parts_to_matrix(obj["rho0"], "rho0"))
     return DensityMatrix(parts_to_matrix(obj, "state"))

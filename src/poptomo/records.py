@@ -12,7 +12,7 @@ Every JSON file (records' sidecars, states, models, configs, schedules,
 results) is read by ``read_json`` and written by ``write_json``; every CSV
 by ``write_csv``.  Fields are read through ``json_number`` and
 ``json_field``, so a value of the wrong JSON type is a ``SchemaError``
-naming the field.
+naming the field, and ``json_keys`` rejects a key its reader does not name.
 """
 
 import csv
@@ -33,6 +33,9 @@ log = logging.getLogger(__name__)
 COLUMN_SUM_SLACK = 0.02
 
 SIGMA_ABS_FLOOR = 1e-4
+
+GRID_ATOL = 1e-12
+GRID_RTOL = 1e-12
 
 
 def shot_noise_floor(repeats=None, atoms_per_shot=None):
@@ -153,10 +156,11 @@ def matrix_to_parts(matrix):
     return {"real": m.real.tolist(), "imag": m.imag.tolist()}
 
 
-def parts_to_matrix(obj, what):
+def parts_to_matrix(obj, what, extra=()):
     """The complex matrix ``matrix_to_parts`` wrote, bit for bit; a missing ``imag`` reads as zeros."""
     if not isinstance(obj, dict) or "real" not in obj:
         raise SchemaError(what, "expected 'real'/'imag' nested lists")
+    json_keys(obj, what, ("real", "imag", "dim", *extra))
     real = _number_array(obj, "real", what)
     imag = _number_array(obj, "imag", what) if "imag" in obj else np.zeros_like(real)
     if real.shape != imag.shape:
@@ -204,6 +208,13 @@ def json_number(obj, key, default, kind=float):
             pass
     what = "an integer" if kind is int else "a number"
     raise SchemaError(key, f"expected {what}, got {value!r}")
+
+
+def json_keys(obj, what, keys):
+    """SchemaError ``<what>.<key>`` for the first key of obj that is not among ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{what}.{key}", "unknown key")
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", bool: "a boolean"}
@@ -259,6 +270,7 @@ def load_record(path):
     side = sidecar_path(path)
     if os.path.exists(side):
         sidecar = read_json(side)
+        json_keys(sidecar, "sidecar", ("dim", "repeats", "meta"))
         if json_number(sidecar, "dim", n, int) != n:
             raise SchemaError("dim", f"sidecar says {sidecar['dim']!r} levels, the CSV has {n}")
         repeats = json_number(sidecar, "repeats", 1, int)
@@ -268,6 +280,12 @@ def load_record(path):
     atoms = json_number(config, "atoms_per_shot", None, int) if "atoms_per_shot" in config else None
     if "n_samples" in config and json_number(config, "n_samples", None, int) != times.size:
         raise SchemaError("n_samples", f"sidecar says {config['n_samples']!r}, the CSV has {times.size}")
+    if "sample_interval_s" in config:
+        interval = json_number(config, "sample_interval_s", None)
+        with np.errstate(over="ignore"):  # a grid past the largest float misses every time
+            miss = np.abs(times - np.arange(times.size) * interval)
+        if np.any(miss > np.maximum(GRID_ATOL, GRID_RTOL * times)):
+            raise SchemaError("sample_interval_s", f"sidecar says {interval!r}, the CSV times are not its multiples")
     if repeats < 1 or (atoms is not None and atoms < 1):
         raise SchemaError("sidecar", "repeats and atoms_per_shot must be at least 1")
 

@@ -52,10 +52,8 @@ from .dynamics import (
     uhlmann_fidelity,
 )
 from .optimize import OptResult, SubplexConfig, bfgs, multi_start
-from .records import MeasurementRecord
+from .records import GRID_ATOL, GRID_RTOL, MeasurementRecord
 
-GRID_ATOL = 1e-12
-GRID_RTOL = 1e-12
 MAX_GRID_STEPS = 1_000_000
 
 RANK_JITTER = 1e-12
@@ -468,12 +466,15 @@ def truncate_record(record, window):
         raise EmptyWindow(
             f"window {window!r} keeps {kept} time points, need at least 2"
         )
+    meta = copy.deepcopy(record.meta)
+    if isinstance(meta.get("config"), dict) and "n_samples" in meta["config"]:
+        meta["config"]["n_samples"] = kept  # the sidecar's count stays the CSV's row count
     return MeasurementRecord(
         times=record.times[mask],
         means=record.means[:, mask],
         sigmas=record.sigmas[:, mask],
         repeats=record.repeats,
-        meta=copy.deepcopy(record.meta),
+        meta=meta,
     )
 
 

@@ -244,14 +244,47 @@ def test_sweep_gamma_dimension_mismatch_exits_2(workspace, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_delta_units_flag_changes_model(workspace):
+def test_delta_units_flag_is_gone(workspace):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            "simulate",
+            "--config", workspace["config"],
+            "--state", workspace["schedule"],
+            "--out", workspace["record"],
+            "--delta-units", "angular",
+        )
+    assert exc.value.code == 2
+    assert not workspace["record"].exists()
+
+
+def test_rad_s_keys_give_the_model_hz_keys_give(workspace, tmp_path):
     from poptomo.experiment import load_model
 
-    ordinary = load_model(workspace["model"], "ordinary")
-    angular = load_model(workspace["model"], "angular")
-    assert ordinary.hamiltonian.delta1 == pytest.approx(2 * np.pi * 3e3)
-    assert angular.hamiltonian.delta1 == pytest.approx(3e3)
-    assert ordinary.hamiltonian.rabi_omega == angular.hamiltonian.rabi_omega
+    model = json.loads(workspace["model"].read_text())
+    model["hamiltonian"] = {
+        "type": "ladder5", "rabi_hz": 60e3, "delta1_rad_s": 2 * np.pi * 3e3, "delta2_rad_s": 2 * np.pi * 11e3,
+    }
+    (tmp_path / "angular.json").write_text(json.dumps(model))
+    assert load_model(tmp_path / "angular.json") == load_model(workspace["model"])
+
+
+@pytest.mark.parametrize("which", ["config", "model", "schedule"])
+def test_a_delta_units_field_exits_2_and_is_named(workspace, tmp_path, capsys, which):
+    # a file written for the removed delta_units field is never read at 2*pi
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    obj = json.loads(workspace[which].read_text())
+    workspace[which].write_text(json.dumps({**obj, "delta_units": "angular"}))
+    out = tmp_path / "out"
+    simulate = ["simulate", "--config", workspace["config"], "--state", workspace["schedule"]]
+    reconstruct = ["reconstruct", "--record", workspace["record"], "--model", workspace["model"]]
+    assert run_cli(*(reconstruct if which == "model" else simulate), "--out", out) == 2
+    assert f"{which}.delta_units: unknown key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_failure_exits_2(workspace, tmp_path):
@@ -360,6 +393,15 @@ MALFORMED_INPUTS = {
     "sidecar_n_samples_mismatch": (
         "sidecar",
         lambda s: {**s, "meta": {**s["meta"], "config": {**s["meta"]["config"], "n_samples": 40}}},
+    ),
+    "sidecar_sample_interval_edited": (
+        "sidecar",
+        lambda s: {**s, "meta": {**s["meta"], "config": {**s["meta"]["config"], "sample_interval_s": 9e-6}}},
+    ),
+    "sidecar_unknown_key": ("sidecar", lambda s: {**s, "dims": 5}),
+    "model_misspelled_keys": (
+        "model",
+        lambda m: {"hamiltonian": {"type": "ladder5", "rabi_hz": 6e4, "detla1": 3e3}, "gama_hz": 375.0},
     ),
     "model_gamma_numeric_string": ("model", lambda m: {**m, "gamma_hz": "375"}),
     "model_generic_bool_entries": (
@@ -628,7 +670,6 @@ def test_unparsable_range_number_exits_2(workspace, tmp_path, capsys):
     [
         ("rng_seed", "abc", ["--seed", "3"]),
         ("noiseless", "yes", ["--noiseless"]),
-        ("delta_units", 7, ["--delta-units", "angular"]),
     ],
 )
 def test_flag_does_not_hide_a_bad_config_field(workspace, capsys, field, value, flags):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from poptomo.experiment import (
     load_experiment_config,
     load_model,
     load_state_or_schedule,
+    save_reconstruction,
     save_state,
 )
 from poptomo.records import matrix_to_parts, write_json
@@ -107,8 +109,6 @@ class TestSynthesizeRecord:
             pt.ExperimentConfig(hamiltonian=ladder, sample_interval=0.0)
         with pytest.raises(pt.ValidationError):
             pt.ExperimentConfig(hamiltonian=ladder, repeats=0)
-        with pytest.raises(pt.ValidationError):
-            pt.ExperimentConfig(hamiltonian=ladder, delta_units="radians")
         with pytest.raises(pt.ValidationError, match="rng_seed"):
             pt.ExperimentConfig(hamiltonian=ladder, rng_seed=-1)
         with pytest.raises(pt.ValidationError, match="atoms_per_shot"):
@@ -299,25 +299,20 @@ class TestPreparation:
             basis_state_index(True)
 
 
-DRIVE_KEYS = [
-    # (detuning fields, the file's delta_units, the loader's delta_units)
-    ({"delta1": 3e3, "delta2": 11e3}, None, None),
-    ({"delta1": 3e3, "delta2": 11e3}, "angular", None),
-    ({"delta1": 3e3, "delta2": 11e3}, None, "angular"),
-    ({"delta1": 3e3, "delta2": 11e3}, "angular", "ordinary"),
-    ({"delta1_rad_s": 2e4, "delta2_rad_s": 7e4}, None, None),
-    ({"delta1_rad_s": 2e4}, None, "ordinary"),
-]
-
-
-@pytest.mark.parametrize("fields, file_units, units", DRIVE_KEYS)
-def test_segment_reads_the_drive_a_model_reads(tmp_path, fields, file_units, units):
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"delta1": 3e3, "delta2": 11e3},
+        {"delta1_rad_s": 2e4, "delta2_rad_s": 7e4},
+        {"delta1_rad_s": 2e4},
+    ],
+)
+def test_segment_reads_the_drive_a_model_reads(tmp_path, fields):
     drive = {"rabi_hz": 60e3, **fields}
-    extra = {} if file_units is None else {"delta_units": file_units}
-    write_json(tmp_path / "model.json", {"hamiltonian": {"type": "ladder5", **drive}, **extra})
+    write_json(tmp_path / "model.json", {"hamiltonian": {"type": "ladder5", **drive}})
     segment = {"duration_s": 2e-6, **drive}
-    write_json(tmp_path / "prep.json", {"initial_state": "mF=+2", "segments": [segment], **extra})
-    h = load_model(tmp_path / "model.json", units).hamiltonian
+    write_json(tmp_path / "prep.json", {"initial_state": "mF=+2", "segments": [segment]})
+    h = load_model(tmp_path / "model.json").hamiltonian
     assert h.delta1 != 0.0
     want = pt.run_preparation(
         pt.PreparationSchedule(
@@ -325,7 +320,7 @@ def test_segment_reads_the_drive_a_model_reads(tmp_path, fields, file_units, uni
             segments=[pt.PulseSegment(2e-6, h.rabi_omega, h.delta1, h.delta2)],
         )
     )
-    got = load_state_or_schedule(tmp_path / "prep.json", units)
+    got = load_state_or_schedule(tmp_path / "prep.json")
     assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
@@ -361,6 +356,59 @@ def test_single_detuning_spelling_values(tmp_path, fields, want):
     write_json(tmp_path / "model.json", {"hamiltonian": {"type": "ladder5", "rabi_hz": 60e3, **fields}})
     h = load_model(tmp_path / "model.json").hamiltonian
     assert (repr(h.delta1), repr(h.delta2)) == tuple(map(repr, want))
+
+
+LADDER = {"type": "ladder5", "rabi_hz": 60e3, "delta1": 3e3, "delta2": 11e3}
+STATE = {"dim": 5, **matrix_to_parts(np.eye(5) / 5)}
+UNKNOWN_KEYS = [
+    # (loader, file, the field its error names)
+    (load_model, {"hamiltonian": {**LADDER, "detla1": 3e3}, "gama_hz": 375.0}, "model.gama_hz"),
+    (load_model, {"hamiltonian": {**LADDER, "detla1": 3e3}}, "hamiltonian.detla1"),
+    (load_model, {"hamiltonian": LADDER, "delta_units": "angular"}, "model.delta_units"),
+    (load_model, {"hamiltonian": {"type": "generic", "real": [[0.0]], "rabi_hz": 1.0}}, "hamiltonian.rabi_hz"),
+    (load_experiment_config, {"hamiltonian": LADDER, "delta_units": "angular"}, "config.delta_units"),
+    (load_experiment_config, {"hamiltonian": LADDER, "sample_interval": 1e-6}, "config.sample_interval"),
+    (load_state_or_schedule, {"initial_state": "mF=+2", "delta_units": "angular"}, "schedule.delta_units"),
+    (
+        load_state_or_schedule,
+        {"initial_state": "mF=+2", "segments": [{"duration_s": 1e-6, "rabi_hz": 60e3, "gamma": 1.0}]},
+        "segments[0].gamma",
+    ),
+    (load_state_or_schedule, {"initial_state": {**STATE, "trace": 1.0}}, "initial_state.trace"),
+    (load_state_or_schedule, {**STATE, "note": "x"}, "state.note"),
+    (load_state_or_schedule, {"rho0": {**STATE, "epsilon": 0.0}}, "rho0.epsilon"),
+]
+
+
+@pytest.mark.parametrize("load, obj, field", UNKNOWN_KEYS, ids=[case[2] for case in UNKNOWN_KEYS])
+def test_unknown_key_rejected(tmp_path, load, obj, field):
+    write_json(tmp_path / "f.json", obj)
+    with pytest.raises(pt.SchemaError, match=f"^{re.escape(field)}: unknown key$"):
+        load(tmp_path / "f.json")
+
+
+def test_plain_input_files_load_unchanged(tmp_path, ladder, ladder_model):
+    # the config, model and schedule the benchmark's synthesize_io workload writes
+    write_json(tmp_path / "config.json", {
+        "hamiltonian": LADDER, "gamma_hz": 375.0, "sample_interval_s": 1.16e-6,
+        "n_samples": 16, "repeats": 5, "atoms_per_shot": 80000, "rng_seed": 0,
+    })
+    write_json(tmp_path / "model.json", {"hamiltonian": LADDER, "gamma_hz": 375.0})
+    segment = {"duration_s": 0.25 / 60e3, "rabi_hz": 60e3, "delta1": 0, "delta2": 0}
+    write_json(tmp_path / "prep.json", {"initial_state": "mF=+2", "segments": [segment]})
+    cfg = load_experiment_config(tmp_path / "config.json")
+    assert cfg == pt.ExperimentConfig(hamiltonian=ladder, gamma=375.0, n_samples=16, repeats=5)
+    assert load_model(tmp_path / "model.json") == ladder_model
+    rho = load_state_or_schedule(tmp_path / "prep.json")
+    want = pt.run_preparation(pt.PreparationSchedule(
+        pt.DensityMatrix.basis_state(5, 0), [pt.PulseSegment(0.25 / 60e3, TWO_PI * 60e3)]
+    ))
+    assert rho.matrix.tobytes() == want.matrix.tobytes()
+    # and a saved result gives back its state
+    record = pt.synthesize_record(rho, dataclasses.replace(cfg, noiseless=True))
+    result = pt.reconstruct(record, ladder_model, pt.SubplexConfig(pt.SimplexConfig(max_evals=300)))
+    save_reconstruction(result, tmp_path / "result.json")
+    assert load_state_or_schedule(tmp_path / "result.json").matrix.tobytes() == result.rho0.matrix.tobytes()
 
 
 @pytest.mark.parametrize("dim", [3, 6, 5.5, "five", True])
@@ -403,7 +451,6 @@ def experiment_configs(draw):
         rng_seed=draw(st.integers(0, 2**64 - 1)),
         noiseless=draw(st.booleans()),
         detuning_noise=TWO_PI * draw(st.floats(0.0, 1e300, allow_subnormal=False)),
-        delta_units=draw(st.sampled_from(["ordinary", "angular"])),
     )
 
 

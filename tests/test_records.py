@@ -167,6 +167,7 @@ SIDECAR_SLOTS = [
     ("meta", "config"),
     ("meta", "config", "atoms_per_shot"),
     ("meta", "config", "n_samples"),
+    ("meta", "config", "sample_interval_s"),
     ("meta", "warnings"),
 ]
 
@@ -254,6 +255,54 @@ class TestLoader:
         (tmp_path / "short.meta.json").write_bytes((tmp_path / "long.meta.json").read_bytes())
         with pytest.raises(pt.SchemaError, match="^n_samples: sidecar says 40, the CSV has 16$"):
             pt.load_record(tmp_path / "short.csv")
+
+    def test_sidecar_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        pt.save_record(simple_record(), path)
+        sidecar = json.loads((tmp_path / "rec.meta.json").read_text())
+        (tmp_path / "rec.meta.json").write_text(json.dumps({**sidecar, "meta": {"anything": [1]}}))
+        assert pt.load_record(path).meta == {"anything": [1]}  # meta stays free-form
+        (tmp_path / "rec.meta.json").write_text(json.dumps({**sidecar, "repeat": 3}))
+        with pytest.raises(pt.SchemaError, match=r"^sidecar\.repeat: unknown key$"):
+            pt.load_record(path)
+
+    def test_sidecar_sample_interval_must_match_the_csv(self, tmp_path, ladder):
+        path = tmp_path / "rec.csv"
+        cfg = pt.ExperimentConfig(hamiltonian=ladder, n_samples=16)
+        pt.save_record(pt.synthesize_record(pt.DensityMatrix.basis_state(5, 0), cfg), path)
+        sidecar = json.loads((tmp_path / "rec.meta.json").read_text())
+        sidecar["meta"]["config"]["sample_interval_s"] = 9e-6
+        (tmp_path / "rec.meta.json").write_text(json.dumps(sidecar))
+        with pytest.raises(pt.SchemaError, match="^sample_interval_s: sidecar says 9e-06"):
+            pt.load_record(path)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        interval=st.floats(1e-9, 1e-3),
+        n_samples=st.integers(2, 40),
+        data=st.data(),
+    )
+    def test_synthesized_and_truncated_records_load_bit_identical(self, ladder, interval, n_samples, data):
+        cfg = pt.ExperimentConfig(hamiltonian=ladder, sample_interval=interval, n_samples=n_samples)
+        record = pt.synthesize_record(pt.DensityMatrix.basis_state(5, 0), cfg)
+        kept = data.draw(st.integers(2, n_samples))
+        for rec in (record, pt.truncate_record(record, record.times[kept - 1])):
+            with tempfile.TemporaryDirectory() as tmp:
+                pt.save_record(rec, Path(tmp, "rec.csv"))
+                back = pt.load_record(Path(tmp, "rec.csv"))
+            for name in ("times", "means", "sigmas"):
+                assert getattr(back, name).tobytes() == getattr(rec, name).tobytes()
+            assert back.meta == rec.meta
+
+    def test_truncated_record_reads_back(self, tmp_path, ladder):
+        cfg = pt.ExperimentConfig(hamiltonian=ladder, n_samples=16)
+        record = pt.synthesize_record(pt.DensityMatrix.basis_state(5, 0), cfg)
+        short = pt.truncate_record(record, record.times[7])
+        pt.save_record(short, tmp_path / "short.csv")
+        back = pt.load_record(tmp_path / "short.csv")
+        assert back.n_times == 8 and back.meta["config"]["n_samples"] == 8
+        assert back.means.tobytes() == record.means[:, :8].tobytes()
+        assert record.meta["config"]["n_samples"] == 16  # the source record keeps its own count
 
     def test_negative_sigma_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"
