@@ -200,29 +200,15 @@ class EvolutionModel:
         return self.hamiltonian.dim
 
 
-def lindblad_rhs(rho, model):
-    """Right-hand side drho/dt for a DensityMatrix under the given model.
-
-    Returns -i[H, rho] + 2*gamma*(diag(rho) - rho) as a plain array.
-    """
-    H = build_hamiltonian(model.hamiltonian)
-    m = rho.matrix
-    if m.shape[0] != H.shape[0]:
-        raise DimensionMismatch(
-            f"state dim {m.shape[0]} != Hamiltonian dim {H.shape[0]}"
-        )
-    out = -1j * (H @ m - m @ H)
-    if model.gamma != 0.0:
-        out += 2.0 * model.gamma * (np.diag(np.diag(m)) - m)
-    return out
-
-
 def _generator(H, gamma):
     """L for a Hamiltonian or a stack of them: (..., n, n) -> (..., n^2, n^2).
 
-    I (x) H and H^T (x) I are built by broadcasting over the leading axes,
-    with the same products as ``np.kron``, so each slice is bit for bit the
-    kron form; the -i, damping and later dt steps work in place.
+    ``L @ vec(rho)`` is vec(drho/dt).  The dephasing part is diagonal: 0 on
+    population slots, -2*gamma on coherence slots.  In the commutator part
+    -i(I (x) H - H^T (x) I), I (x) H and H^T (x) I are built by broadcasting
+    over the leading axes, with the same products as ``np.kron``, so each
+    slice is bit for bit the kron form; the -i, damping and later dt steps
+    work in place.
     """
     n = H.shape[-1]
     shape = H.shape[:-2] + (n * n, n * n)
@@ -235,17 +221,6 @@ def _generator(H, gamma):
         damp[np.arange(n) * (n + 1)] = 0.0
         L += np.diag(damp)
     return L
-
-
-def liouvillian_matrix(model):
-    """Vectorized generator L (n^2 x n^2), column-stacking convention.
-
-    ``L @ vec(rho) == vec(lindblad_rhs(rho))`` with vec(.) stacking
-    columns, so the commutator part is -i(I (x) H - H^T (x) I) and the
-    dephasing part is diagonal: 0 on population slots, -2*gamma on
-    coherence slots.
-    """
-    return _generator(build_hamiltonian(model.hamiltonian), model.gamma)
 
 
 def make_propagator(model, dt):
@@ -265,9 +240,6 @@ def make_propagator(model, dt):
         H, gamma = build_hamiltonian(model.hamiltonian), model.gamma
     else:
         H, gamma = model
-    if dt == 0.0:
-        n2 = H.shape[-1] ** 2
-        return np.broadcast_to(np.eye(n2, dtype=complex), H.shape[:-2] + (n2, n2))
     generator = _generator(H, gamma)
     generator *= dt
     if not np.all(np.isfinite(generator)):
@@ -352,11 +324,6 @@ def evolve(rho0, step, steps):
     if min_eig < -EVOLVE_PSD_ATOL:
         raise NumericalDrift(f"negative eigenvalue {min_eig:.3e} after propagation")
     return DensityMatrix(m / trace, psd_atol=EVOLVE_PSD_ATOL)
-
-
-def populations(rho):
-    """Real diagonal of rho: occupation probability of each sublevel."""
-    return np.diag(rho.matrix).real.copy()
 
 
 def uhlmann_fidelity(rho, sigma):

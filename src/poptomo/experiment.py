@@ -404,4 +404,6 @@ def save_convergence(points, path):
 
 def pi_half_duration(rabi_omega):
     """Duration of a pi/2 rotation at the given angular Rabi frequency."""
+    if rabi_omega == 0.0 or not math.isfinite(rabi_omega):
+        raise ValidationError(f"Rabi frequency must be finite and non-zero, got {rabi_omega!r}")
     return 0.5 * math.pi / rabi_omega

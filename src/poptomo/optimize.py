@@ -37,6 +37,8 @@ SHRINK = 0.5
 NSMAX = 5
 # Initial simplex offset, relative to each start coordinate.
 INITIAL_STEP = 0.1
+# A simplex's diameter, or a subplex cycle's largest move, below this stops on xtol.
+X_TOL = 1e-8
 # A simplex's value spread, or a subplex cycle's gain, below this stops on ftol.
 F_TOL = 1e-12
 # Armijo sufficient-decrease fraction and the backtracking factor of bfgs.
@@ -54,14 +56,11 @@ STALL_ITERS = 100
 
 @dataclass(frozen=True)
 class SimplexConfig:
-    """Stopping rules for one simplex run."""
+    """Evaluation budget of one simplex run."""
 
-    x_tol: float = 1e-8
     max_evals: int = 200_000
 
     def __post_init__(self):
-        if self.x_tol <= 0.0:
-            raise ValidationError("x_tol must be positive")
         if self.max_evals < 1:
             raise ValidationError("max_evals must be at least 1")
 
@@ -98,10 +97,10 @@ def _single_run(best_x, best_f, evals, converged_by):
 
 
 def _start(x0):
-    """x0 as a flat float vector; ValidationError unless it is finite."""
+    """x0 as a flat float vector; ValidationError unless it is non-empty and finite."""
     x0 = np.asarray(x0, dtype=float).ravel()
-    if not np.all(np.isfinite(x0)):
-        raise ValidationError("x0 must be finite")
+    if x0.size == 0 or not np.all(np.isfinite(x0)):
+        raise ValidationError(f"x0 must be a non-empty finite vector, got {x0.size} entries")
     return x0
 
 
@@ -145,7 +144,7 @@ def _initial_steps(x0):
     return np.where(x0 != 0.0, INITIAL_STEP * x0, INITIAL_STEP)
 
 
-def _nm_core(ev, x0, cfg, steps):
+def _nm_core(ev, x0, steps):
     """One simplex run through a shared evaluator.
 
     Returns (best_x, best_f, reason); never loses its best vertex, so
@@ -174,7 +173,7 @@ def _nm_core(ev, x0, cfg, steps):
         if resort:
             order = np.argsort(fsim, kind="stable")
             sim, fsim, resort = sim[order], [fsim[i] for i in order], False
-        if np.abs(sim[1:] - sim[0]).max() < cfg.x_tol:
+        if np.abs(sim[1:] - sim[0]).max() < X_TOL:
             reason = XTOL
             break
         if fsim[-1] - fsim[0] < F_TOL:
@@ -219,13 +218,13 @@ def nelder_mead(f, x0, cfg=None):
     """Minimize f from x0 with a single Nelder-Mead simplex.
 
     The initial simplex offsets each coordinate by INITIAL_STEP relative
-    to it.  Stops when the simplex diameter drops below ``x_tol``, the
+    to it.  Stops when the simplex diameter drops below X_TOL, the
     value spread drops below F_TOL, or the budget runs out.
     """
     cfg = cfg if cfg is not None else SimplexConfig()
     x0 = _start(x0)
     ev = _Evaluator(f, cfg.max_evals)
-    best_x, best_f, reason = _nm_core(ev, x0, cfg, _initial_steps(x0))
+    best_x, best_f, reason = _nm_core(ev, x0, _initial_steps(x0))
     return _single_run(best_x, best_f, ev.evals, reason)
 
 
@@ -258,18 +257,17 @@ def subplex(f, x0, cfg=None):
     Coordinates are sorted by the magnitude of their change in the last
     cycle and partitioned into blocks of 2..NSMAX; each block is
     minimized with the others frozen.  Cycling stops when a full cycle
-    improves less than F_TOL, moves less than ``x_tol``, or exhausts
+    improves less than F_TOL, moves less than X_TOL, or exhausts
     the budget.  The best value is non-increasing across cycles.  With
     at most NSMAX coordinates this is one ``nelder_mead`` run.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
-    scfg = cfg.simplex
     x0 = _start(x0)
     n = x0.size
     if n <= NSMAX:
-        return nelder_mead(f, x0, scfg)
+        return nelder_mead(f, x0, cfg.simplex)
 
-    ev = _Evaluator(f, scfg.max_evals)
+    ev = _Evaluator(f, cfg.simplex.max_evals)
     x = x0.copy()
     fx = ev(x)
     step_vec = _initial_steps(x0)
@@ -285,7 +283,7 @@ def subplex(f, x0, cfg=None):
             idx = order[start : start + size]
             start += size
             sub = _SubObjective(ev, x, idx)
-            sub_x, sub_f, sub_reason = _nm_core(sub, x[idx], scfg, step_vec[idx])
+            sub_x, sub_f, sub_reason = _nm_core(sub, x[idx], step_vec[idx])
             if sub_f <= fx:
                 x = x.copy()
                 x[idx] = sub_x
@@ -296,7 +294,7 @@ def subplex(f, x0, cfg=None):
         if reason is not None:
             break
         dx = x - x_prev
-        if np.abs(dx).max() < scfg.x_tol:
+        if np.abs(dx).max() < X_TOL:
             reason = XTOL
         elif f_prev - fx < F_TOL:
             reason = FTOL

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -43,8 +43,12 @@ def shot_noise_floor(repeats=None, atoms_per_shot=None):
 
     With N atoms per shot and r repeats the binomial spread cannot fall
     below ~0.5/sqrt(r*N); without atom-count metadata an absolute floor
-    applies.
+    applies.  ``None`` means a count is absent; a given count is at least 1.
     """
+    if any(count is not None and not count >= 1 for count in (repeats, atoms_per_shot)):
+        raise ValidationError(
+            f"repeats and atoms_per_shot must be at least 1, got {repeats!r} and {atoms_per_shot!r}"
+        )
     floor = SIGMA_ABS_FLOOR
     if repeats and atoms_per_shot:
         # a float product: a huge count gives an infinite root, not OverflowError

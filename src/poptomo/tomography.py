@@ -68,7 +68,11 @@ def infer_grid_step(times):
     denominator up to MAX_GRID_STEPS), so a uniform grid reproduces its
     spacing bit-for-bit.  Each time t must lie within max(GRID_ATOL,
     GRID_RTOL * t) of a multiple of dt: a summed grid's rounding grows with t.
+    A negative or non-finite time raises GridMismatch.
     """
+    bad = [t for t in times if not 0.0 <= t < math.inf]
+    if bad:
+        raise GridMismatch(f"time {bad[0]!r} is negative or not finite")
     positive = [t for t in times if t > 0.0]
     if not positive:
         raise GridMismatch("no positive time in the record")

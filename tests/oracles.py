@@ -68,6 +68,11 @@ def rk4_population_trajectories(rho0, H, gamma, dt, total_steps, stride):
     return np.stack(kept, axis=-1)
 
 
+def populations(rho):
+    """Sublevel occupations of a DensityMatrix: the real part of its diagonal."""
+    return np.diag(rho.matrix).real
+
+
 def dephased_state(rho0, gamma, t):
     """Closed-form solution for H = 0: coherences decay as exp(-2*gamma*t)."""
     m = np.array(rho0, dtype=complex)
@@ -263,7 +268,7 @@ def linear_inversion_reference(predictor, record):
     return _params_for_state(physical, n)
 
 
-def nelder_mead_reference(f, x0, x_tol=1e-8, max_evals=200_000):
+def nelder_mead_reference(f, x0, max_evals=200_000):
     """The simplex with a full stable argsort, two fancy-index copies and a
     ``mean`` centroid every iteration, as the defining algorithm reads.
 
@@ -308,7 +313,7 @@ def nelder_mead_reference(f, x0, x_tol=1e-8, max_evals=200_000):
         order = np.argsort(fsim, kind="stable")
         sim = sim[order]
         fsim = fsim[order]
-        if np.abs(sim[1:] - sim[0]).max() < x_tol:
+        if np.abs(sim[1:] - sim[0]).max() < o.X_TOL:
             reason = o.XTOL
             break
         if fsim[-1] - fsim[0] < o.F_TOL:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import poptomo as pt
 import oracles
-from poptomo.dynamics import drive_populations, ladder_diagonal
+from poptomo.dynamics import _generator, drive_populations, ladder_diagonal
 
 TWO_PI = 2.0 * np.pi
 
@@ -153,49 +153,26 @@ def test_negative_dephasing_rate_rejected(ladder):
         pt.EvolutionModel(hamiltonian=ladder, gamma=-1.0)
 
 
-class TestLindbladRhs:
-    def test_pure_dephasing_matches_projector_sum(self):
-        rng = np.random.default_rng(1)
-        rho = pt.DensityMatrix(oracles.random_density(rng, 5))
-        gamma = 240.0
-        model = pt.EvolutionModel(
-            hamiltonian=pt.GenericHamiltonian(np.zeros((5, 5), dtype=complex)),
-            gamma=gamma,
-        )
-        out = pt.lindblad_rhs(rho, model)
-        np.testing.assert_allclose(
-            out, oracles.projector_dissipator(rho.matrix, gamma), atol=1e-15
-        )
-        assert np.abs(np.diag(out)).max() < 1e-15
-        off = out + 2.0 * gamma * (rho.matrix - np.diag(np.diag(rho.matrix)))
-        assert np.abs(off).max() < 1e-15
-
-    def test_maximally_mixed_is_stationary_without_dephasing(self, ladder):
-        model = pt.EvolutionModel(hamiltonian=ladder, gamma=0.0)
-        out = pt.lindblad_rhs(pt.DensityMatrix.maximally_mixed(5), model)
-        assert np.abs(out).max() < 1e-12
-
-    def test_coherent_part_is_commutator(self, ladder):
-        rng = np.random.default_rng(2)
-        rho = pt.DensityMatrix(oracles.random_density(rng, 5))
-        model = pt.EvolutionModel(hamiltonian=ladder, gamma=0.0)
-        H = pt.build_hamiltonian(ladder)
-        expected = -1j * (H @ rho.matrix - rho.matrix @ H)
-        np.testing.assert_allclose(pt.lindblad_rhs(rho, model), expected, atol=1e-12)
-
-    def test_dimension_mismatch(self, ladder):
-        model = pt.EvolutionModel(hamiltonian=ladder, gamma=0.0)
-        with pytest.raises(pt.DimensionMismatch):
-            pt.lindblad_rhs(pt.DensityMatrix.maximally_mixed(3), model)
-
-    def test_liouvillian_matches_rhs(self, ladder_model):
-        rng = np.random.default_rng(3)
-        L = pt.liouvillian_matrix(ladder_model)
-        for _ in range(5):
-            rho = pt.DensityMatrix(oracles.random_density(rng, 5))
-            lhs = pt.unvectorize(L @ pt.vectorize(rho.matrix), 5)
-            rhs = pt.lindblad_rhs(rho, ladder_model)
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+@pytest.mark.parametrize(
+    "driven, gamma, state, atol",
+    [
+        (True, 375.0, "random", 1e-9),
+        (True, 0.0, "random", 1e-9),  # the commutator alone
+        (False, 240.0, "random", 1e-15),  # the projector sum alone, collapsed to a diagonal
+        # stationary without dephasing, to the rounding of |L| ~ 4e5 1/s
+        (True, 0.0, "mixed", 1e-9),
+    ],
+    ids=["driven_dephased", "drive_only", "pure_dephasing", "stationary"],
+)
+def test_liouvillian_matches_rhs(ladder, driven, gamma, state, atol):
+    """L @ vec(rho) from the generator is the literal master equation's drho/dt."""
+    rng = np.random.default_rng(3)
+    H = pt.build_hamiltonian(ladder) if driven else np.zeros((5, 5), dtype=complex)
+    L = _generator(H, gamma)
+    for _ in range(5):
+        rho = oracles.random_density(rng, 5) if state == "random" else np.eye(5, dtype=complex) / 5
+        lhs = pt.unvectorize(L @ pt.vectorize(rho), 5)
+        np.testing.assert_allclose(lhs, oracles.rhs_direct(rho, H, gamma), rtol=0.0, atol=atol)
 
 
 SIGNED_ZERO = st.sampled_from([0.0, -0.0])
@@ -223,7 +200,7 @@ def evolution_models(draw):
 @given(model=evolution_models())
 def test_liouvillian_is_the_kron_form_bytewise(model):
     want = oracles.kron_liouvillian(pt.build_hamiltonian(model.hamiltonian), model.gamma)
-    got = pt.liouvillian_matrix(model)
+    got = _generator(pt.build_hamiltonian(model.hamiltonian), model.gamma)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -411,7 +388,7 @@ class TestEvolve:
         prop = pt.make_propagator(ladder_model, dt)
         ours = np.empty((5, n_points))
         for k in range(n_points):
-            ours[:, k] = pt.populations(pt.evolve(rho0, prop, k + 1))
+            ours[:, k] = oracles.populations(pt.evolve(rho0, prop, k + 1))
         stride = 1160  # dt / 1e-9
         reference = oracles.rk4_population_trajectories(
             rho0.matrix,
@@ -464,31 +441,6 @@ class TestEvolve:
             )
             assert abs(out.matrix.trace().real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out.matrix)[0] > -1e-8
-
-
-class TestPopulations:
-    def test_basis_state(self):
-        np.testing.assert_array_equal(
-            pt.populations(pt.DensityMatrix.basis_state(5, 0)),
-            [1.0, 0.0, 0.0, 0.0, 0.0],
-        )
-
-    def test_maximally_mixed(self):
-        np.testing.assert_allclose(
-            pt.populations(pt.DensityMatrix.maximally_mixed(5)), 0.2, rtol=1e-14
-        )
-
-    def test_equal_superposition(self):
-        rho = pt.DensityMatrix.from_state_vector([1.0, 1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(
-            pt.populations(rho), [0.5, 0.5, 0.0, 0.0, 0.0], atol=1e-15
-        )
-
-    def test_sums_to_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            rho = pt.DensityMatrix(oracles.random_density(rng, 5))
-            assert abs(pt.populations(rho).sum() - 1.0) < 1e-10
 
 
 class TestUhlmannFidelity:

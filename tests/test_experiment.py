@@ -240,6 +240,12 @@ def test_drift_synthesis_peak_memory(ladder, pi_half_state, gamma):
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("omega", [0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_pi_half_duration_needs_a_finite_nonzero_rabi_frequency(omega):
+    with pytest.raises(pt.ValidationError, match="Rabi frequency"):
+        pt.pi_half_duration(omega)
+
+
 class TestPreparation:
     def test_empty_schedule_returns_initial(self):
         rho = pt.DensityMatrix.basis_state(5, 0)
@@ -258,7 +264,7 @@ class TestPreparation:
         )
         out = pt.run_preparation(schedule)
         np.testing.assert_allclose(
-            pt.populations(out), np.array([1, 4, 6, 4, 1]) / 16.0, atol=1e-10
+            oracles.populations(out), np.array([1, 4, 6, 4, 1]) / 16.0, atol=1e-10
         )
 
     def test_two_segments_compose(self, ladder):

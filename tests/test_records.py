@@ -354,9 +354,15 @@ class TestShotNoiseFloor:
 
     def test_absolute_floor_without_metadata(self):
         assert pt.shot_noise_floor() == 1e-4
+        assert pt.shot_noise_floor(5, None) == pt.shot_noise_floor(None, 80_000) == 1e-4
 
     def test_never_below_absolute_floor(self):
         assert pt.shot_noise_floor(10**6, 10**6) == 1e-4
+
+    @pytest.mark.parametrize("repeats, atoms", [(-1, 5), (-1, -5), (5, 0), (0, None), (None, -3), (np.nan, 5)])
+    def test_count_below_one_rejected(self, repeats, atoms):
+        with pytest.raises(pt.ValidationError, match="at least 1"):
+            pt.shot_noise_floor(repeats, atoms)
 
 
 # every finite double, with both signed zeros drawn often

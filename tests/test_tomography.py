@@ -311,6 +311,16 @@ class TestInferGridStep:
         with pytest.raises(pt.GridMismatch, match="not a multiple of the grid step"):
             pt.infer_grid_step([1.0, 2.0000003])
 
+    @pytest.mark.parametrize(
+        "times", [[math.inf], [0.0, math.nan], [-1e-6, 0.0, 1e-6], [0.0, 1e-6, math.inf]]
+    )
+    def test_negative_or_non_finite_time_rejected(self, times, ladder_model):
+        with pytest.raises(pt.GridMismatch, match="negative or not finite"):
+            pt.infer_grid_step(times)
+        # a negative time would otherwise index a backward (inverse) step
+        with pytest.raises(pt.GridMismatch, match="negative or not finite"):
+            pt.PopulationPredictor(ladder_model, times)
+
     @settings(max_examples=200, deadline=None)
     @given(
         step=st.floats(1e-8, 1e-4),
@@ -394,7 +404,7 @@ class TestPropagationRoutes:
         )
         rho = pt.DensityMatrix(oracles.random_density(rng, dim))
         dt = 1.16e-6
-        stepped = pt.populations(pt.evolve(rho, pt.make_propagator(model, dt), k))
+        stepped = oracles.populations(pt.evolve(rho, pt.make_propagator(model, dt), k))
         predicted = pt.PopulationPredictor(model, np.arange(13) * dt).populations(
             pt.vectorize(rho.matrix)
         )
@@ -439,7 +449,8 @@ class TestReconstruct:
 
     def test_gauge_representatives_reach_same_error(self, ladder_model):
         # Scale-covariant search: starting subplex from p and from 2*p
-        # follows bit-identical trajectories when termination is f-based.
+        # follows bit-identical trajectories until the absolute X_TOL test
+        # fires; both runs here end on the budget first.
         rng = np.random.default_rng(10)
         rho_true = pt.DensityMatrix(oracles.random_density(rng, 5))
         record = make_record(ladder_model, rho_true)
@@ -448,7 +459,7 @@ class TestReconstruct:
 
         cost = _WeightedCost(predictor, record)
         cfg = pt.SubplexConfig(
-            simplex=pt.SimplexConfig(x_tol=1e-300, max_evals=20_000),
+            simplex=pt.SimplexConfig(max_evals=20_000),
             restarts=1,
         )
         start = rng.standard_normal(25)
@@ -592,7 +603,7 @@ class TestPreparePulseState:
         out = pt.prepare_pulse_state(
             pt.DensityMatrix.basis_state(2, 0), model, pt.pi_half_duration(omega)
         )
-        np.testing.assert_allclose(pt.populations(out), [0.5, 0.5], atol=1e-10)
+        np.testing.assert_allclose(oracles.populations(out), [0.5, 0.5], atol=1e-10)
 
     def test_five_level_half_pulse_matches_rk4(self, drive_only_model, pi_half_state):
         duration = pt.pi_half_duration(drive_only_model.hamiltonian.rabi_omega)
@@ -605,7 +616,7 @@ class TestPreparePulseState:
             steps,
             steps,
         )
-        assert np.abs(pt.populations(pi_half_state) - reference[:, -1]).max() < 1e-6
+        assert np.abs(oracles.populations(pi_half_state) - reference[:, -1]).max() < 1e-6
 
     def test_negative_duration_rejected(self, drive_only_model):
         with pytest.raises(pt.EmptyWindow, match="duration"):
