@@ -240,8 +240,9 @@ def make_propagator(model, dt):
         H, gamma = build_hamiltonian(model.hamiltonian), model.gamma
     else:
         H, gamma = model
-    generator = _generator(H, gamma)
-    generator *= dt
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        generator = _generator(H, gamma)
+        generator *= dt
     if not np.all(np.isfinite(generator)):
         raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
     step = expm(generator)

@@ -2,11 +2,19 @@
 
 A record holds the mean relative populations ``means[i, j]`` (sublevel i,
 time j) and their shot-to-shot standard deviations, as obtained from
-repeated destructive measurements.  On disk a record is a plain CSV
-(``time_s, p_1..p_n, sigma_1..sigma_n``) with a JSON sidecar
-(``<stem>.meta.json``) carrying repeats, generator configuration and any
-ingestion warnings; the CSV itself is deterministic byte-for-byte for a
-fixed config and seed.
+repeated destructive measurements.  ``sigmas`` are per-shot sample
+standard deviations over the repeats (``ddof=1``), not standard errors of
+the mean, while ``shot_noise_floor``, which bounds them from below, is on
+the standard-error scale 0.5/sqrt(repeats * atoms_per_shot).  On disk a
+record is a plain CSV (``time_s, p_1..p_n, sigma_1..sigma_n``) with a JSON
+sidecar (``<stem>.meta.json``) carrying repeats, generator configuration
+and any ingestion warnings; the CSV itself is deterministic byte-for-byte
+for a fixed config and seed.
+
+Every rule on a record's times and sidecar is stated here: the grid
+tolerances ``GRID_ATOL``/``GRID_RTOL`` that ``infer_grid_step`` and
+``load_record`` apply, and the sidecar's ``config.n_samples``, which
+``load_record`` checks against the CSV and ``truncate_record`` rewrites.
 
 Every JSON file (records' sidecars, states, models, configs, schedules,
 results) is read by ``read_json`` and written by ``write_json``; every CSV
@@ -15,16 +23,18 @@ by ``write_csv``.  Fields are read through ``json_number`` and
 naming the field, and ``json_keys`` rejects a key its reader does not name.
 """
 
+import copy
 import csv
 import json
 import logging
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, ValidationError
+from .errors import EmptyWindow, GridMismatch, ParseError, SchemaError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -36,6 +46,7 @@ SIGMA_ABS_FLOOR = 1e-4
 
 GRID_ATOL = 1e-12
 GRID_RTOL = 1e-12
+MAX_GRID_STEPS = 1_000_000
 
 
 def shot_noise_floor(repeats=None, atoms_per_shot=None):
@@ -105,6 +116,64 @@ class MeasurementRecord:
     @property
     def span(self):
         return float(self.times[-1])
+
+
+def infer_grid_step(times):
+    """Largest dt such that every time is an integer multiple of it.
+
+    dt is the first positive time over the least common denominator of
+    every positive time's ratio to it (the nearest fraction with a
+    denominator up to MAX_GRID_STEPS), so a uniform grid reproduces its
+    spacing bit-for-bit.  Each time t must lie within max(GRID_ATOL,
+    GRID_RTOL * t) of a multiple of dt: a summed grid's rounding grows with t.
+    A negative or non-finite time raises GridMismatch.
+    """
+    bad = [t for t in times if not 0.0 <= t < math.inf]
+    if bad:
+        raise GridMismatch(f"time {bad[0]!r} is negative or not finite")
+    positive = [t for t in times if t > 0.0]
+    if not positive:
+        raise GridMismatch("no positive time in the record")
+    first = positive[0]
+    # more than MAX_GRID_STEPS steps; checked first so t / first stays finite
+    if max(positive) / MAX_GRID_STEPS > first:
+        raise GridMismatch("times do not share a reasonable uniform grid")
+    divisor = 1
+    for t in positive:
+        ratio = Fraction(t / first).limit_denominator(MAX_GRID_STEPS)
+        divisor = math.lcm(divisor, ratio.denominator)
+        if divisor > MAX_GRID_STEPS:
+            raise GridMismatch("times do not share a reasonable uniform grid")
+    dt = first / divisor
+    for t in times:
+        k = round(t / dt)
+        if abs(t - k * dt) > max(GRID_ATOL, GRID_RTOL * t):
+            raise GridMismatch(
+                f"time {t!r} is not a multiple of the grid step {dt!r}"
+            )
+        if k > MAX_GRID_STEPS:
+            raise GridMismatch("times do not share a reasonable uniform grid")
+    return dt
+
+
+def truncate_record(record, window):
+    """Restrict a record to times in [0, window]."""
+    mask = record.times <= window + 1e-15
+    kept = int(np.count_nonzero(mask))
+    if kept < 2:
+        raise EmptyWindow(
+            f"window {window!r} keeps {kept} time points, need at least 2"
+        )
+    meta = copy.deepcopy(record.meta)
+    if isinstance(meta.get("config"), dict) and "n_samples" in meta["config"]:
+        meta["config"]["n_samples"] = kept  # the sidecar's count stays the CSV's row count
+    return MeasurementRecord(
+        times=record.times[mask],
+        means=record.means[:, mask],
+        sigmas=record.sigmas[:, mask],
+        repeats=record.repeats,
+        meta=meta,
+    )
 
 
 def record_header(n):

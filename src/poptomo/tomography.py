@@ -25,11 +25,9 @@ of single reconstructions this module provides the window-length
 convergence study and the dephasing-rate sweep.
 """
 
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -52,50 +50,10 @@ from .dynamics import (
     uhlmann_fidelity,
 )
 from .optimize import OptResult, SubplexConfig, bfgs, multi_start
-from .records import GRID_ATOL, GRID_RTOL, MeasurementRecord
-
-MAX_GRID_STEPS = 1_000_000
+from .records import infer_grid_step, truncate_record
 
 RANK_JITTER = 1e-12
 EPSILON_CEILING = 1.0
-
-
-def infer_grid_step(times):
-    """Largest dt such that every time is an integer multiple of it.
-
-    dt is the first positive time over the least common denominator of
-    every positive time's ratio to it (the nearest fraction with a
-    denominator up to MAX_GRID_STEPS), so a uniform grid reproduces its
-    spacing bit-for-bit.  Each time t must lie within max(GRID_ATOL,
-    GRID_RTOL * t) of a multiple of dt: a summed grid's rounding grows with t.
-    A negative or non-finite time raises GridMismatch.
-    """
-    bad = [t for t in times if not 0.0 <= t < math.inf]
-    if bad:
-        raise GridMismatch(f"time {bad[0]!r} is negative or not finite")
-    positive = [t for t in times if t > 0.0]
-    if not positive:
-        raise GridMismatch("no positive time in the record")
-    first = positive[0]
-    # more than MAX_GRID_STEPS steps; checked first so t / first stays finite
-    if max(positive) / MAX_GRID_STEPS > first:
-        raise GridMismatch("times do not share a reasonable uniform grid")
-    divisor = 1
-    for t in positive:
-        ratio = Fraction(t / first).limit_denominator(MAX_GRID_STEPS)
-        divisor = math.lcm(divisor, ratio.denominator)
-        if divisor > MAX_GRID_STEPS:
-            raise GridMismatch("times do not share a reasonable uniform grid")
-    dt = first / divisor
-    for t in times:
-        k = round(t / dt)
-        if abs(t - k * dt) > max(GRID_ATOL, GRID_RTOL * t):
-            raise GridMismatch(
-                f"time {t!r} is not a multiple of the grid step {dt!r}"
-            )
-        if k > MAX_GRID_STEPS:
-            raise GridMismatch("times do not share a reasonable uniform grid")
-    return dt
 
 
 class PopulationPredictor:
@@ -201,8 +159,10 @@ def rho_to_params(rho):
 
     Finds lower-triangular T with positive diagonal and rho = T^H T by
     flipping the basis, running a standard Cholesky, and flipping back.
-    Rank-deficient states get a RANK_JITTER * I nudge before retrying;
-    a second failure raises FactorizationFailure.
+    A state that is rank-deficient, or slightly indefinite (DensityMatrix
+    accepts eigenvalues down to -PSD_ATOL, evolve's states down to
+    -EVOLVE_PSD_ATOL), gets a (RANK_JITTER + max(0, -lambda_min)) * I nudge
+    before retrying; a second failure raises FactorizationFailure.
     """
     m = rho.matrix
     dim = rho.dim
@@ -210,8 +170,9 @@ def rho_to_params(rho):
     try:
         L = np.linalg.cholesky(flipped)
     except np.linalg.LinAlgError:
+        jitter = RANK_JITTER + max(0.0, -float(np.linalg.eigvalsh(flipped)[0]))
         try:
-            L = np.linalg.cholesky(flipped + RANK_JITTER * np.eye(dim))
+            L = np.linalg.cholesky(flipped + jitter * np.eye(dim))
         except np.linalg.LinAlgError:
             raise FactorizationFailure(
                 "state is numerically indefinite even after diagonal jitter"
@@ -444,7 +405,7 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
         gap=gap,
         opt=opt,
         gamma_used=model.gamma,
-        window=(0.0, float(record.times[-1])),
+        window=(0.0, record.span),
     )
 
 
@@ -460,26 +421,6 @@ def prepare_pulse_state(initial, model, duration):
     if duration == 0.0:
         return initial
     return evolve(initial, make_propagator(model, duration), 1)
-
-
-def truncate_record(record, window):
-    """Restrict a record to times in [0, window]."""
-    mask = record.times <= window + 1e-15
-    kept = int(np.count_nonzero(mask))
-    if kept < 2:
-        raise EmptyWindow(
-            f"window {window!r} keeps {kept} time points, need at least 2"
-        )
-    meta = copy.deepcopy(record.meta)
-    if isinstance(meta.get("config"), dict) and "n_samples" in meta["config"]:
-        meta["config"]["n_samples"] = kept  # the sidecar's count stays the CSV's row count
-    return MeasurementRecord(
-        times=record.times[mask],
-        means=record.means[:, mask],
-        sigmas=record.sigmas[:, mask],
-        repeats=record.repeats,
-        meta=meta,
-    )
 
 
 @dataclass(frozen=True, eq=False)

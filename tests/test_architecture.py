@@ -3,7 +3,9 @@
 Only ``records`` touches files: no other module imports ``json`` or ``csv``
 or calls ``open``.  The only ``expm`` in the package is the call inside
 ``dynamics.make_propagator``, and ``experiment`` propagates only through
-``dynamics``' entries.  ``cli`` writes no file format of its own: it
+``dynamics``' entries.  ``records`` owns every record rule: no other
+module reads a ``.meta`` attribute or names ``GRID_ATOL``, ``GRID_RTOL``
+or ``MAX_GRID_STEPS``.  ``cli`` writes no file format of its own: it
 calls neither ``write_csv`` nor ``write_json``.  Every import is of the
 standard library, ``numpy`` or ``scipy.linalg``.  Every explicit
 ``raise`` raises a ``PoptomoError`` subclass, so the CLI maps it to an
@@ -75,6 +77,22 @@ def test_file_io_and_expm_stay_in_their_modules():
         _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
     assert file_io == {"records"}
     assert expm_calls == ["dynamics.make_propagator"]
+
+
+def test_record_rules_stay_in_records():
+    # a record's sidecar and its grid tolerances are read and written in one place
+    grid_names = {"GRID_ATOL", "GRID_RTOL", "MAX_GRID_STEPS"}
+    found = []
+
+    def visit(node, owner):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in grid_names or (isinstance(node, ast.Attribute) and name == "meta"):
+            found.append((owner, name))
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "records":
+            _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
+    assert found == []
 
 
 def test_experiment_leaves_propagation_to_dynamics():

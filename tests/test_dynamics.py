@@ -252,6 +252,18 @@ class TestMakePropagator:
         with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
             pt.make_propagator((stack, 0.0), 1.16e-6)
 
+    @pytest.mark.parametrize(
+        "drive, dt",
+        [
+            (pt.Ladder5(1e308, -1e308, 1e308), 1e-6),  # the commutator overflows
+            (pt.Ladder5(1e300, 0.0, 0.0), 1e10),  # the scaling by dt overflows
+        ],
+    )
+    def test_overflowing_generator_raises_validation_error(self, drive, dt):
+        # no numpy RuntimeWarning escapes before the ValidationError
+        with pytest.raises(pt.ValidationError, match="non-finite drive"):
+            pt.make_propagator(pt.EvolutionModel(drive), dt)
+
 
 class TestStackedPropagator:
     @pytest.mark.parametrize("dt", [0.0, 0.37e-6, 1.16e-6])
@@ -380,6 +392,17 @@ class TestEvolve:
             pt.evolve(pt.DensityMatrix.basis_state(5, 0), step, steps)
         with pytest.raises(pt.DimensionMismatch):
             pt.evolve(pt.DensityMatrix.basis_state(2, 0), step[:, :3], steps)
+
+    def test_trace_drift_raises(self):
+        with pytest.raises(pt.NumericalDrift, match="trace drift"):
+            pt.evolve(pt.DensityMatrix.basis_state(5, 0), 2.0 * np.eye(25), 1)
+
+    def test_negative_eigenvalue_raises(self):
+        # unit trace, so only the eigenvalue check can catch it
+        step = np.eye(25, dtype=complex)
+        step[:, 0] = pt.vectorize(np.diag([1.5, -0.5, 0.0, 0.0, 0.0]))
+        with pytest.raises(pt.NumericalDrift, match="negative eigenvalue"):
+            pt.evolve(pt.DensityMatrix.basis_state(5, 0), step, 1)
 
     def test_matches_rk4_on_reference_drive(self, ladder_model):
         rho0 = pt.DensityMatrix.basis_state(5, 0)

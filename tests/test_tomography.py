@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import poptomo as pt
+import poptomo.records as records
 import poptomo.tomography as tomography
 import oracles
 from conftest import quick_subplex
@@ -156,6 +157,17 @@ class TestStateMap:
         rho = pt.DensityMatrix.basis_state(5, 0)
         back = pt.params_to_rho(pt.rho_to_params(rho))
         assert np.abs(back.matrix - rho.matrix).max() < 1e-9
+
+    @pytest.mark.parametrize("lowest", [-5e-11, -1e-9])
+    def test_slightly_indefinite_state_factors(self, lowest):
+        # DensityMatrix accepts eigenvalues down to -1e-10, evolve's states down to -1e-8
+        rng = np.random.default_rng(5)
+        u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        m = (u * [lowest, 0.1, 0.2, 0.3, 0.4 - lowest]) @ u.conj().T
+        rho = pt.DensityMatrix(0.5 * (m + m.conj().T), psd_atol=1e-8)
+        assert np.linalg.eigvalsh(rho.matrix)[0] < 0.0
+        back = pt.params_to_rho(pt.rho_to_params(rho))
+        assert np.abs(back.matrix - rho.matrix).max() < 1e-8
 
     def test_factor_has_positive_diagonal(self):
         rng = np.random.default_rng(4)
@@ -333,7 +345,7 @@ class TestInferGridStep:
         times = np.array(ks) * step
         dt = pt.infer_grid_step(times)
         assert dt == pytest.approx(math.gcd(*ks) * step, rel=1e-9)
-        assert np.all(np.abs(times - np.round(times / dt) * dt) <= tomography.GRID_ATOL)
+        assert np.all(np.abs(times - np.round(times / dt) * dt) <= records.GRID_ATOL)
 
     @staticmethod
     def assert_grid_contract(times):
@@ -343,9 +355,9 @@ class TestInferGridStep:
         except pt.GridMismatch:
             return
         k = np.round(times / dt)
-        tolerance = np.maximum(tomography.GRID_ATOL, tomography.GRID_RTOL * times)
+        tolerance = np.maximum(records.GRID_ATOL, records.GRID_RTOL * times)
         assert np.all(np.abs(times - k * dt) <= tolerance)
-        assert k.max() <= tomography.MAX_GRID_STEPS
+        assert k.max() <= records.MAX_GRID_STEPS
 
     @settings(max_examples=300, deadline=None)
     @given(
