@@ -7,7 +7,8 @@ or calls ``open``.  The only ``expm`` in the package is the call inside
 module reads a ``.meta`` attribute or names ``GRID_ATOL``, ``GRID_RTOL``
 or ``MAX_GRID_STEPS``.  ``cli`` writes no file format of its own: it
 calls neither ``write_csv`` nor ``write_json``.  Every import is of the
-standard library, ``numpy`` or ``scipy.linalg``.  Every explicit
+standard library or ``numpy``, and ``import poptomo`` loads no SciPy
+module.  Every explicit
 ``raise`` raises a ``PoptomoError`` subclass, so the CLI maps it to an
 exit code, except for two named exceptions.  Every name that the benchmark's tracer wraps is bound in
 the module it looks in.  The public surface is the listed ``PUBLIC``,
@@ -17,7 +18,9 @@ so adding or removing a name is an explicit edit here.
 import ast
 import builtins
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -121,13 +124,13 @@ def test_cli_writes_no_format_of_its_own():
     assert calls == []
 
 
-def test_imports_are_the_standard_library_numpy_and_scipy_linalg():
+def test_imports_are_the_standard_library_and_numpy():
     # Each import costs start-up time and resident memory, which the
     # benchmark reads as setup_s and peak_rss_mb.  Importing scipy.optimize
     # after poptomo raises the peak resident set from 57.3 to 76.7 MB
     # (+20 MB) and takes 0.11-0.30 s across runs (one BLAS thread): more
-    # than a whole reconstruction.  optimize.bfgs needs only numpy, and
-    # dynamics needs only scipy.linalg's expm.
+    # than a whole reconstruction.  scipy.linalg alone made up most of
+    # poptomo's own import; optimize.bfgs and dynamics.expm need only numpy.
     foreign = []
 
     def visit(node, owner):
@@ -138,12 +141,21 @@ def test_imports_are_the_standard_library_numpy_and_scipy_linalg():
         else:
             return
         for m in modules:
-            if m.split(".")[0] not in sys.stdlib_module_names and m not in ("numpy", "scipy.linalg"):
+            if m.split(".")[0] not in sys.stdlib_module_names and m != "numpy":
                 foreign.append((owner, m))
 
     for path in sorted(SRC.glob("*.py")):
         _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
     assert foreign == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: this test process has SciPy loaded for the oracles
+    code = "import sys, poptomo; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_every_raise_is_a_poptomo_error():
