@@ -13,8 +13,9 @@ populations are untouched and every coherence decays as exp(-2*gamma*t).
 Propagation uses the exact exponential of the vectorized generator
 (column-stacking convention, so ``L = -i(I (x) H - H^T (x) I) + D``).
 ``make_propagator`` holds the only call to ``expm``, this module's
-scaling-and-squaring Pade exponential, and returns the step exp(L*dt)
-itself, built once per grid so optimizer inner loops never pay for it.
+degree-13 Pade scaling-and-squaring exponential, held by the tests to
+within 1e-13 of SciPy's, and returns the step exp(L*dt) itself, built
+once per grid so optimizer inner loops never pay for it.
 The population predictor (prefix products over its grid) and
 ``evolve`` (a matrix power) propagate through it.  Detuning-drift
 synthesis goes through ``drive_populations``, which reads a stack of
@@ -223,107 +224,23 @@ def _generator(H, gamma):
     return L
 
 
-# Scaling and squaring with a diagonal Pade approximant r_m = p_m / q_m of
-# exp: Al-Mohy and Higham, "A new scaling and squaring algorithm for the
-# matrix exponential", SIAM J. Matrix Anal. Appl. 31, 970 (2009), Algorithm
-# 5.1 with exact 1-norms.  Per degree m: theta_m, the largest
-# eta = max ||A^k||^(1/k) at which r_m meets the unit roundoff; 1/|c_(2m+1)|
-# for the leading coefficient c_(2m+1) of r_m's backward error series; and
-# p_m's coefficients b_0 ... b_m, with q_m(x) = p_m(-x).
-_UNIT_ROUNDOFF = 2.0**-53
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 4.25,
-}
-_PADE_ERROR_RECIP = {
-    3: 100800.0,
-    5: 10059033600.0,
-    7: 4487938430976000.0,
-    9: 5914384781877411840000.0,
-    13: 113250775606021113483283660800000000.0,
-}
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
-        110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-         129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
-         40840800.0, 960960.0, 16380.0, 182.0, 1.0),
-}
-
-
-def _pade_rows(b):
-    """p_m's coefficients b as rows over the even powers I, A^2, A^4, ...
-
-    With p_m(A) = U + V and q_m(A) = V - U, degrees 3-9 have U = A @ row 0 and
-    V = row 1; degree 13 splits at A^6, U = A @ (A^6 @ row 0 + row 1) and
-    V = A^6 @ row 2 + row 3, so it needs no power beyond A^6.
-    """
-    odd, even = b[1::2], b[0::2]
-    rows = (odd, even) if len(b) < 14 else ((0.0,) + odd[4:], odd[:4], (0.0,) + even[4:], even[:4])
-    return np.array(rows, dtype=complex)
-
-
-_PADE_ROWS = {m: _pade_rows(b) for m, b in _PADE_COEFFS.items()}
-
-
-def _onenorm(a):
-    """Largest absolute column sum of each matrix in a."""
-    return np.abs(a).sum(axis=-2).max(axis=-1)
-
-
-def _ell(abs_a, m):
-    """Squarings that degree m's backward error bound adds for A, given |A|."""
-    # |A|^(2m+1) is nonnegative, so its 1-norm is the largest entry of
-    # 1^T |A|^(2m+1): exact, from the column sums 1^T |A| and repeated
-    # squares of |A|
-    sums = abs_a.sum(axis=0)
-    row, square, p = sums, abs_a, 2 * m
-    while p:
-        if p & 1:
-            row = row @ square
-        p >>= 1
-        if p:
-            square = square @ square
-    alpha = row.max() / (sums.max() * _PADE_ERROR_RECIP[m])
-    # numpy floats: an overflowed power gives inf or nan, not an exception
-    return max(np.ceil(np.log2(alpha / _UNIT_ROUNDOFF) / (2 * m)), 0.0)
-
-
-def _pade_structure(a):
-    """Pade degree m and squarings s for exp(a), and the powers of a on the way.
-
-    The powers are the (5, n, n) stack I, A^2, A^4, A^6, A^8; A^8 is
-    filled in only once degrees 3 and 5 are ruled out.  s is a numpy
-    float, non-finite when a power of A overflowed.
-    """
-    n = a.shape[0]
-    abs_a = np.abs(a)
-    powers = np.empty((5, n, n), dtype=complex)
-    powers[0] = np.eye(n)
-    np.matmul(a, a, out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    d4, d6 = _onenorm(powers[2:4]) ** (1 / 4, 1 / 6)
-    eta = max(d4, d6)
-    for m in (3, 5):
-        if eta < _PADE_THETA[m] and _ell(abs_a, m) == 0:
-            return m, 0, powers
-    np.matmul(powers[2], powers[2], out=powers[4])
-    d8 = _onenorm(powers[4]) ** (1 / 8)
-    eta = max(d6, d8)
-    for m in (7, 9):
-        if eta < _PADE_THETA[m] and _ell(abs_a, m) == 0:
-            return m, 0, powers
-    d10 = _onenorm(powers[2] @ powers[3]) ** (1 / 10)
-    eta = min(eta, max(d8, d10))
-    s = max(np.ceil(np.log2(eta / _PADE_THETA[13])), 0.0)
-    return 13, s + _ell(abs_a * 2.0**-s, 13), powers
+# Scaling and squaring with the degree-13 diagonal Pade approximant
+# r_13 = p_13 / q_13 of exp: Higham, "The scaling and squaring method for the
+# matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26, 1179 (2005).
+# r_13 meets the unit roundoff wherever ||A||_1 <= theta_13 (Table 2.3), so A
+# is halved s times until it does and r_13 squared s times.  p_13's
+# coefficients are b_0 ... b_13, with q_13(x) = p_13(-x).
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+            129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+            40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+# p_13's coefficients as rows over I, A^2, A^4, A^6: with p_13(A) = U + V and
+# q_13(A) = V - U, U = A @ (A^6 @ row 0 + row 1) and V = A^6 @ row 2 + row 3,
+# so no power beyond A^6 is needed
+_PADE_ROWS = np.array(
+    ((0.0,) + _PADE_13[9::2], _PADE_13[1:9:2], (0.0,) + _PADE_13[8::2], _PADE_13[0:8:2]),
+    dtype=complex,
+)
 
 
 def _expm_slice(a):
@@ -331,29 +248,25 @@ def _expm_slice(a):
     diagonal = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
         return np.diag(np.exp(diagonal))
-    n = a.shape[0]
-    m, s, powers = _pade_structure(a)
-    if not np.isfinite(s):
+    norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
         return np.full_like(a, np.nan)
-    rows = _PADE_ROWS[m]
-    k = rows.shape[1]
-    if m < 13:
-        odd, v = (rows @ powers[:k].reshape(k, -1)).reshape(2, n, n)
-        u = a @ odd
-    else:
-        # scaling by a power of two is exact, so scaling A^2k by 2^(-2ks)
-        # is the same as forming the powers of A * 2^-s
-        scale = 2.0**-s
-        a = a * scale
-        powers[1:4] *= np.array([scale**2, scale**4, scale**6])[:, None, None]
-        w, x, y, z = (rows @ powers[:4].reshape(4, -1)).reshape(4, n, n)
-        u = a @ (powers[3] @ w + x)
-        v = powers[3] @ y + z
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    a = a * 2.0**-s  # a power of two: exact
+    n = a.shape[0]
+    powers = np.empty((4, n, n), dtype=complex)
+    powers[0] = np.eye(n)
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    w, x, y, z = (_PADE_ROWS @ powers.reshape(4, -1)).reshape(4, n, n)
+    u = a @ (powers[3] @ w + x)
+    v = powers[3] @ y + z
     try:
         step = np.linalg.solve(v - u, v + u)
     except np.linalg.LinAlgError:  # an exactly singular q(A) has no exponential to offer
         return np.full_like(a, np.nan)
-    for _ in range(int(s)):
+    for _ in range(s):
         step = step @ step
     return step
 
@@ -361,19 +274,32 @@ def _expm_slice(a):
 def expm(a):
     """exp of each trailing n x n slice of a complex array.
 
-    Al-Mohy and Higham's scaling and squaring: a Pade approximant of degree
-    3, 5, 7, 9 or 13, and for degree 13 s squarings, both chosen from exact
-    1-norms of powers of the slice.  A diagonal slice is the exponential of
+    Higham's (2005) scaling and squaring: the degree-13 Pade approximant of
+    A/2^s, squared s times, with s the fewest halvings that bring the
+    slice's 1-norm within theta_13.  A diagonal slice is the exponential of
     its diagonal.  Each slice takes the same steps alone, so slice i of a
-    stack is bit for bit the exponential of that slice on its own.  An
-    overflow, or an exactly singular Pade denominator, comes out as
-    non-finite entries, never as an exception or a numpy warning.
+    stack is bit for bit the exponential of that slice on its own.  A
+    non-finite 1-norm, an overflow, or an exactly singular Pade denominator
+    comes out as non-finite entries, never as an exception or a numpy
+    warning.
     """
     out = np.empty_like(a)
     with np.errstate(all="ignore"):
         for i in np.ndindex(a.shape[:-2]):
             out[i] = _expm_slice(a[i])
     return out
+
+
+# Largest phase a step may carry.  ``make_propagator`` bounds ||L*dt||_1 by
+# it, and ``drive_populations`` bounds the drive phase max|lambda|*t at
+# gamma = 0.  A float phase carries a rounding error of |lambda*t| * 2**-53,
+# and eigh's eigenvalues or expm's squarings one of the same order, so up to
+# 1e8 rad the populations stay within about 1e-8, the roundoff
+# EVOLVE_TRACE_ATOL already allows a propagated state.  Far beyond it both
+# return finite noise (a unitary ladder step is off unitarity by 1.4e-8 at
+# ||L*dt||_1 = 5.7e8 and by 3e-2 at 5.7e14), so the bound is checked
+# explicitly; it also caps expm at 25 squarings.
+MAX_UNITARY_PHASE = 1e8
 
 
 def make_propagator(model, dt):
@@ -383,9 +309,9 @@ def make_propagator(model, dt):
     ``(H, gamma)`` of an (m, n, n) stack of Hamiltonian matrices and the
     rate they share, for an (m, n^2, n^2) stack of steps from one ``expm``
     call.  ``expm`` treats each slice on its own, so slice i is bit for
-    bit the step of the model with Hamiltonian H[i].  A step that comes
-    out non-finite (a drive far too large for ``dt``) raises
-    NumericalDrift.
+    bit the step of the model with Hamiltonian H[i].  A drive or rate far
+    too large for ``dt`` raises NumericalDrift: ||L*dt||_1 beyond
+    MAX_UNITARY_PHASE, or a step that comes out non-finite.
     """
     if dt < 0.0:
         raise InvalidState(f"time step must be >= 0, got {dt}")
@@ -396,22 +322,19 @@ def make_propagator(model, dt):
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
         generator = _generator(H, gamma)
         generator *= dt
+        norm = np.abs(generator).sum(axis=-2).max(initial=0.0)
     if not np.all(np.isfinite(generator)):
         raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
+    if not norm <= MAX_UNITARY_PHASE:
+        raise NumericalDrift(
+            f"||L*dt||_1 = {norm:.3e} exceeds {MAX_UNITARY_PHASE:.0e} (dt = {dt}): "
+            "drive or rate too large"
+        )
     step = expm(generator)
     if not np.all(np.isfinite(step)):
         raise NumericalDrift(f"exp(L*dt) is not finite (dt = {dt}): drive or rate too large")
     step.setflags(write=False)
     return step
-
-
-# Largest drive phase max|lambda|*t that ``drive_populations`` accepts at gamma = 0.
-# A float phase carries a rounding error of |lambda*t| * 2**-53, and eigh's
-# eigenvalues one of the same order, so up to 1e8 rad the populations stay
-# within about 1e-8, the roundoff EVOLVE_TRACE_ATOL already allows a
-# propagated state.  Far beyond it cos and sin return finite noise where
-# expm would overflow to NaN, so the bound is checked explicitly.
-MAX_UNITARY_PHASE = 1e8
 
 
 def drive_populations(H, gamma, rho, t):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import poptomo as pt
 import oracles
-from poptomo.dynamics import _generator, drive_populations, ladder_diagonal
+from poptomo.dynamics import EVOLVE_TRACE_ATOL, _generator, drive_populations, ladder_diagonal
 
 TWO_PI = 2.0 * np.pi
 
@@ -241,16 +241,24 @@ class TestMakePropagator:
         with pytest.raises(ValueError):
             step[0, 0] = 0.0
 
-    def test_non_finite_step_raises_numerical_drift(self):
-        # a finite generator whose exponential overflows: expm returns NaN without raising
-        model = pt.EvolutionModel(pt.Ladder5(1e50, 0.0, 0.0))
-        with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
+    @pytest.mark.parametrize("rabi", [1e14, 1e16, 1e20])
+    @pytest.mark.parametrize("gamma", [0.0, 375.0])
+    def test_drive_too_large_for_dt_raises_numerical_drift(self, rabi, gamma):
+        # ||L*dt||_1 is 5.7e-6 * rabi here, beyond MAX_UNITARY_PHASE from
+        # rabi 1.8e13: unchecked, the step comes out finite but off unitarity
+        # by 1.4e-8 at rabi 1e14 and by 3e-2 at 1e20
+        model = pt.EvolutionModel(pt.Ladder5(rabi, 0.0, 0.0), gamma)
+        with pytest.raises(pt.NumericalDrift, match=r"exceeds 1e\+08 \(dt = 1\.16e-06\)"):
             pt.make_propagator(model, 1.16e-6)
-        stack = np.stack(
-            [pt.build_hamiltonian(pt.Ladder5(1.0, 0.0, 0.0)), pt.build_hamiltonian(model.hamiltonian)]
-        )
+        stack = np.stack([pt.build_hamiltonian(pt.Ladder5(1.0, 0.0, 0.0)),
+                          pt.build_hamiltonian(model.hamiltonian)])
         with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
-            pt.make_propagator((stack, 0.0), 1.16e-6)
+            pt.make_propagator((stack, gamma), 1.16e-6)
+
+    def test_largest_drive_within_the_bound_stays_unitary(self):
+        # rabi 1e13 puts ||L*dt||_1 at 5.7e7, just inside MAX_UNITARY_PHASE
+        step = pt.make_propagator(pt.EvolutionModel(pt.Ladder5(1e13, 0.0, 0.0)), 1.16e-6)
+        assert np.abs(step.conj().T @ step - np.eye(25)).max() < EVOLVE_TRACE_ATOL
 
     @pytest.mark.parametrize(
         "drive, dt",

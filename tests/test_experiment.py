@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -238,6 +239,53 @@ def test_drift_synthesis_peak_memory(ladder, pi_half_state, gamma):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+# four detuned pulses from mF=+2: (duration s, delta1 Hz, delta2 Hz) at the reference Rabi frequency
+SCHEDULE = ((1.7e-6, 4e3, -9e3), (2.9e-6, -12e3, 6e3), (1.2e-6, 14e3, 2e3), (3.6e-6, -7e3, -13e3))
+RECORD_SHAPES = {
+    "plain": dict(gamma=375.0, rng_seed=5),
+    "drift-unitary": dict(gamma=0.0, repeats=25, detuning_noise=TWO_PI * 10e3, rng_seed=6),
+    "drift-damped": dict(gamma=375.0, repeats=25, detuning_noise=TWO_PI * 10e3, rng_seed=7),
+}
+RECORD_DIGESTS = {
+    ("pi-half", "plain"):
+        "aa6f7d62530885c379e435432b148ca4642e1777163b4aa3c3839f178306a28c",
+    ("pi-half", "drift-unitary"):
+        "63d084c48757506004b3be7ce4223ced426e2158dc5b07d260e74d53f6d3aaac",
+    ("pi-half", "drift-damped"):
+        "09e960a5e9db3263e1ca8f368df5e7ac01caa6c8d5f34184508964c45a4ca578",
+    ("schedule", "plain"):
+        "5566b4769ee5db776482c9383295712ca32a52f71148a0b02b3a9f77f010dc05",
+    ("schedule", "drift-unitary"):
+        "022c504cbf7d7859f78710f67cd56d2cee209ddaaed9b05bf8e2942c4056b162",
+    ("schedule", "drift-damped"):
+        "184b2bea9a1e61548e56f61c135a1558aa1f923356faf4d29210f29140c66889",
+}
+
+
+@pytest.mark.parametrize("state, shape", sorted(RECORD_DIGESTS))
+def test_noisy_record_bytes_are_pinned(ladder, pi_half_state, state, shape):
+    """sha256 of a noisy record's times, means and sigmas, in that order.
+
+    A noisy record is multinomial counts, so a change to the propagation
+    that moves populations by rounding keeps its bytes unless a count sits
+    on a sampler threshold.  Noiseless records are left out: their means
+    are the populations themselves and move with any rounding change.
+    """
+    if state == "pi-half":
+        rho = pi_half_state
+    else:
+        segments = [pt.PulseSegment(duration, ladder.rabi_omega, TWO_PI * d1, TWO_PI * d2)
+                    for duration, d1, d2 in SCHEDULE]
+        initial = pt.DensityMatrix.basis_state(5, 0)
+        rho = pt.run_preparation(pt.PreparationSchedule(initial, segments))
+    cfg = pt.ExperimentConfig(hamiltonian=ladder, n_samples=87, **RECORD_SHAPES[shape])
+    record = pt.synthesize_record(rho, cfg)
+    digest = hashlib.sha256()
+    for part in (record.times, record.means, record.sigmas):
+        digest.update(np.ascontiguousarray(part).tobytes())
+    assert digest.hexdigest() == RECORD_DIGESTS[state, shape]
 
 
 @pytest.mark.parametrize("omega", [0.0, -0.0, math.inf, -math.inf, math.nan])

@@ -1,9 +1,11 @@
-"""make_propagator against SciPy's expm, which runs the same published algorithm.
+"""make_propagator against SciPy's expm.
 
-``dynamics.expm`` is Al-Mohy and Higham's (2009) scaling and squaring in
-numpy alone.  SciPy solves the Pade system through another factorization,
-so the two agree to rounding, not bit for bit: within RTOL of the largest
-entry of SciPy's result.  SciPy is a test dependency only.
+``dynamics.expm`` is Higham's (2005) degree-13 scaling and squaring in
+numpy alone.  SciPy's expm (Al-Mohy and Higham, 2009) may pick a lower
+degree or fewer squarings and solves the Pade system through another
+factorization, so the two agree to rounding, not bit for bit: within
+RTOL of the largest entry of SciPy's result.  SciPy is a test dependency
+only.
 """
 
 import warnings
@@ -20,30 +22,11 @@ from poptomo import dynamics
 
 RTOL = 1e-13
 
-# theta_m of Al-Mohy and Higham (2009), Table 3.1: degree m is used while
-# eta stays below theta_m, degree 13 after s halvings of eta
-THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-         9: 2.097847961257068, 13: 4.25}
-# (degree, squarings) -> the eta band that selects it
-BANDS = {
-    (3, 0): (0.0, THETA[3]),
-    (5, 0): (THETA[3], THETA[5]),
-    (7, 0): (THETA[5], THETA[7]),
-    (9, 0): (THETA[7], THETA[9]),
-    (13, 0): (THETA[9], THETA[13]),
-    (13, 1): (THETA[13], 2.0 * THETA[13]),
-    (13, 3): (4.0 * THETA[13], 8.0 * THETA[13]),
-}
-
-
-def eta(a, degree):
-    """The eta that the paper's Algorithm 5.1 compares with theta_degree."""
-    d = {k: np.linalg.norm(np.linalg.matrix_power(a, k), 1) ** (1 / k) for k in (4, 6, 8, 10)}
-    if degree <= 5:
-        return max(d[4], d[6])
-    if degree <= 9:
-        return max(d[6], d[8])
-    return min(max(d[6], d[8]), max(d[8], d[10]))
+# theta_13 of Higham (2005), Table 2.3: the degree-13 approximant takes no
+# squaring while ||A||_1 <= theta_13, and s squarings up to 2^s theta_13
+THETA_13 = 5.371920351148152
+# ||L*dt||_1 / theta_13 bands: no squaring, one, and three
+NORM_BANDS = {"s0": (0.0, 1.0), "s1": (1.0, 2.0), "s3": (4.0, 8.0)}
 
 
 def drawn_model(seed, damped):
@@ -66,18 +49,25 @@ def generator(model):
 
 
 class TestAgainstScipy:
-    @pytest.mark.parametrize("structure", list(BANDS), ids=lambda ms: "m%d-s%d" % ms)
+    @pytest.mark.parametrize("band", sorted(NORM_BANDS))
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), damped=st.booleans(), position=st.floats(0.05, 0.35))
-    def test_each_degree_with_and_without_squaring(self, structure, seed, damped, position):
-        # dt puts eta in the lower part of the band: near its top the
-        # backward error check may still ask for the next degree
+    @given(seed=st.integers(0, 2**32 - 1), damped=st.booleans(),
+           position=st.floats(0.0, 1.0, exclude_min=True))
+    def test_accuracy_in_each_squaring_band(self, band, seed, damped, position):
         model = drawn_model(seed, damped)
         L = generator(model)
-        lo, hi = BANDS[structure]
-        dt = (lo + position * (hi - lo)) / eta(L, structure[0])
-        m, s, _ = dynamics._pade_structure(L * dt)
-        assert (m, int(s)) == structure
+        lo, hi = NORM_BANDS[band]
+        dt = (lo + position * (hi - lo)) * THETA_13 / np.linalg.norm(L, 1)
+        assert_matches_scipy(pt.make_propagator(model, dt), L * dt)
+
+    @pytest.mark.parametrize("ratio", [1.0 - 1e-12, 1.0 + 1e-12])
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), damped=st.booleans())
+    def test_accuracy_either_side_of_theta_13(self, ratio, seed, damped):
+        # no squaring just below theta_13, one just above
+        model = drawn_model(seed, damped)
+        L = generator(model)
+        dt = ratio * THETA_13 / np.linalg.norm(L, 1)
         assert_matches_scipy(pt.make_propagator(model, dt), L * dt)
 
     @settings(max_examples=100, deadline=None)
@@ -105,7 +95,7 @@ class TestAgainstScipy:
         dt=st.floats(0.0, 60.0),
     )
     def test_stack_slices_are_the_scalar_steps(self, drives, gamma, dt):
-        # dt up to 60 spans every degree and up to 6 squarings at unit scale
+        # dt up to 60 spans 0 to 8 squarings at unit scale
         specs = [pt.Ladder5(*drive) for drive in drives]
         stack = np.stack([pt.build_hamiltonian(spec) for spec in specs])
         steps = pt.make_propagator((stack, gamma), dt)
@@ -124,8 +114,8 @@ class TestNonFiniteSteps:
         stacked=st.booleans(),
     )
     def test_overflowing_drive_raises_numerical_drift(self, rabi, detuning, gamma, stacked):
-        # the generator is finite, its powers overflow: no error bound, a
-        # non-finite step, and no numpy warning on the way
+        # the generator is finite, its 1-norm far beyond MAX_UNITARY_PHASE or
+        # overflowing: NumericalDrift, and no numpy warning on the way
         drive = pt.Ladder5(rabi, detuning * rabi, -detuning * rabi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -138,7 +128,7 @@ class TestNonFiniteSteps:
                     pt.make_propagator(pt.EvolutionModel(drive, gamma), 1.16e-6)
 
     def test_singular_pade_denominator_raises_numerical_drift(self, monkeypatch, ladder_model):
-        # theta_m keeps q(A)'s zeros away from a selected A's spectrum, so
+        # theta_13 keeps q_13's zeros away from the scaled A's spectrum, so
         # numpy's refusal is forced here
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -146,3 +136,15 @@ class TestNonFiniteSteps:
         monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(pt.NumericalDrift, match=r"dt = 1\.16e-06"):
             pt.make_propagator(ladder_model, 1.16e-6)
+
+    def test_non_finite_norm_gives_a_nan_slice(self):
+        # make_propagator's bound stops such a generator first, so expm is
+        # called on its own: the other slice is unaffected, and no warning
+        a = np.zeros((2, 3, 3), dtype=complex)
+        a[0] = oracles.random_hermitian(np.random.default_rng(4), 3, 1.0)
+        a[1] = 1e308 + 1e308j  # |a| overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = dynamics.expm(a)
+        assert out[0].tobytes() == dynamics.expm(a[:1])[0].tobytes()
+        assert np.all(np.isfinite(out[0])) and np.all(np.isnan(out[1]))
