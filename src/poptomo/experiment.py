@@ -56,6 +56,8 @@ from .records import (
 from .tomography import PopulationPredictor, prepare_pulse_state
 
 TWO_PI = 2.0 * math.pi
+# numpy takes counts (multinomial draws, array lengths) as int64
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 BASIS_STATE_NAMES = {
     "mF=+2": 0,
@@ -98,12 +100,10 @@ class ExperimentConfig:
         require_finite(self, "gamma", "sample_interval", "detuning_noise")
         if self.sample_interval <= 0.0:
             raise ValidationError("sample_interval must be positive")
-        if self.n_samples < 2:
-            raise ValidationError("need at least 2 samples")
-        if self.repeats < 1:
-            raise ValidationError("repeats must be at least 1")
-        if self.atoms_per_shot < 1:
-            raise ValidationError("atoms_per_shot must be at least 1")
+        for name, low in (("n_samples", 2), ("repeats", 1), ("atoms_per_shot", 1)):
+            count = getattr(self, name)
+            if not low <= count <= _MAX_COUNT:
+                raise ValidationError(f"{name} must be in [{low}, {_MAX_COUNT}], got {count}")
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.detuning_noise < 0.0:

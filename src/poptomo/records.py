@@ -25,6 +25,7 @@ naming the field, and ``json_keys`` rejects a key its reader does not name.
 
 import copy
 import csv
+import io
 import json
 import logging
 import math
@@ -209,15 +210,28 @@ def write_csv(path, header, rows):
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _read_text(path):
+    """The file's UTF-8 text, newlines untranslated; ParseError naming the path otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def read_json(path):
     """Parse a JSON file whose top level must be an object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
-            ) from None
+    text = _read_text(path)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno
+        ) from None
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an over-long integer
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError(str(path), "expected a JSON object")
     return obj
@@ -254,7 +268,7 @@ def _number_array(obj, part, what):
     """obj[part] as a float array; each entry is read by ``json_number`` as ``what.part``."""
     entries = np.asarray(obj[part], dtype=object)
     key = f"{what}.{part}"
-    return np.array([json_number({key: v}, key, None) for v in entries.flat]).reshape(entries.shape)
+    return np.array([json_number({key: v}, key, None) for v in entries.ravel()]).reshape(entries.shape)
 
 
 def save_record(record, path):
@@ -314,28 +328,27 @@ def load_record(path):
     Zero sigma entries are raised to the shot-noise floor with a warning
     recorded in the metadata; negative sigmas are a schema error.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    try:
+        # (line of the row's end, row) for every row with a non-blank cell
+        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
     if not rows:
         raise ParseError("empty record file", line=1)
-    header = [c.strip() for c in rows[0]]
+    header_line, header = rows[0][0], [c.strip() for c in rows[0][1]]
     n = (len(header) - 1) // 2
     if header != record_header(n):
         raise ParseError(
-            f"header must be time_s, p_1..p_n, sigma_1..sigma_n, got {header!r}", line=1
+            f"header must be time_s, p_1..p_n, sigma_1..sigma_n, got {header!r}", line=header_line
         )
     table = np.empty((len(rows) - 1, len(header)))
-    for lineno, row in enumerate(rows[1:], start=2):
+    for k, (lineno, row) in enumerate(rows[1:]):
         if len(row) != len(header):
             raise ParseError(
                 f"expected {len(header)} columns, got {len(row)}", line=lineno
             )
-        table[lineno - 2] = [_parse_float(cell, lineno, col + 1) for col, cell in enumerate(row)]
+        table[k] = [_parse_float(cell, lineno, col + 1) for col, cell in enumerate(row)]
     times, means, sigmas = table[:, 0], table[:, 1 : 1 + n].T, table[:, 1 + n :].T
 
     repeats = 1

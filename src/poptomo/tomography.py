@@ -189,7 +189,8 @@ class _WeightedCost:
     sqrt(w_ij / sum_j w_ij), as are the targets.  Each evaluation then
     forms G = T^H T in a reused ``_Factor`` and gets every weighted
     prediction from one real gemv on G.view(float), divided by
-    Tr(G) = |p|^2.
+    Tr(G) = |p|^2.  The same rows and targets give the start's linear
+    inversion.
 
     The gradient reuses that residual r.  With dr the residual of each
     level over n times that level's norm, a = (dr @ rows) / |p|^2 is the
@@ -296,34 +297,20 @@ def _params_for_state(matrix, n):
     return rho_to_params(DensityMatrix(blended))
 
 
-def _linear_inversion_start(predictor, record):
+def _linear_inversion_start(cost):
     """Weighted linear inversion projected onto physical states.
 
-    The forward map from Hermitian coefficients to populations is
-    linear, so a small lstsq gives the unconstrained optimum directly;
-    clipping its eigenvalues returns it to the state manifold.  A very
-    good, purely data-derived start for the search.
-
-    The coefficients are the n diagonal entries, then Re and Im of each
-    upper entry (i, j) in row-major order; their design columns are sums
-    of the predictor's columns at the column-stacked slots i + j*n and
-    j + i*n.
+    Populations are linear in the state, so the minimum-norm least squares
+    over the cost's own rows and targets (G viewed as floats, in eps's
+    per-level weights) is the unconstrained optimum.  An anti-Hermitian G
+    predicts no population, so its n^2 directions are null and
+    ``rcond=None`` cuts them; clipping the eigenvalues of the Hermitian
+    estimate returns it to the state manifold.  None if none is positive.
     """
-    n = record.dim
-    M = predictor.matrix
-    rows, cols = np.triu_indices(n, 1)
-    upper, lower = rows + cols * n, cols + rows * n
-    design = np.empty((M.shape[0], n * n))
-    design[:, :n] = M[:, np.arange(n) * (n + 1)].real
-    design[:, n::2] = M[:, upper].real + M[:, lower].real
-    design[:, n + 1::2] = M[:, lower].imag - M[:, upper].imag
-    scale = np.sqrt(1.0 / np.square(record.sigmas.T)).reshape(-1)
-    target = record.means.T.reshape(-1)
-    coeffs = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)[0]
-    estimate = np.diag(coeffs[:n].astype(complex))
-    estimate[rows, cols] = coeffs[n::2] + 1j * coeffs[n + 1::2]
-    estimate[cols, rows] = estimate[rows, cols].conj()
-    w, v = np.linalg.eigh(estimate)
+    n = cost.dim
+    floats = np.linalg.lstsq(cost.rows, cost.targets, rcond=None)[0]
+    estimate = floats.view(complex).reshape(n, n)
+    w, v = np.linalg.eigh(0.5 * (estimate + estimate.conj().T))
     w = np.clip(w, 0.0, None)
     total = w.sum()
     if total <= 0.0:
@@ -382,7 +369,7 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     _check_record_model(record, model)
     predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record)
-    start = _linear_inversion_start(predictor, record)
+    start = _linear_inversion_start(cost)
     if start is None:
         start = _diagonal_start(record)
     budget = cfg.simplex.max_evals

@@ -7,10 +7,11 @@ path, so agreement between the two is meaningful.  Three exceptions
 pin arithmetic, not physics: ``reference_record`` pins the record
 sampler's draw order and memory layout, so it propagates with the
 package's ``make_propagator``; ``linear_inversion_reference`` pins the
-inversion start's design, so it reads the package's predictor matrix
-and ends in the package's parameter map; ``nelder_mead_reference`` pins
-the simplex's rounding, so it is the plain loop (a full sort and a
-``mean`` every iteration) with the package's coefficients.
+inversion start's design and weights, so it reads the package's
+predictor matrix and ends in the package's parameter map;
+``nelder_mead_reference`` pins the simplex's rounding, so it is the
+plain loop (a full sort and a ``mean`` every iteration) with the
+package's coefficients.
 """
 
 import math
@@ -219,47 +220,36 @@ def reference_record(rho, cfg):
     return means, np.maximum(sigmas, pt.shot_noise_floor(repeats, atoms))
 
 
-def hermitian_basis_columns(n):
-    """vec() of a real basis of Hermitian n x n matrices, as columns.
-
-    Order: E_ii for each i, then for each upper pair (i, j) in row-major
-    order the symmetric E_ij + E_ji and the antisymmetric i(E_ij - E_ji).
-    """
-    columns = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[i, i] = 1.0
-        columns.append(E.reshape(-1, order="F"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = E[j, i] = 1.0
-            columns.append(E.reshape(-1, order="F"))
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1j
-            E[j, i] = -1j
-            columns.append(E.reshape(-1, order="F"))
-    return np.column_stack(columns)
-
-
 def linear_inversion_reference(predictor, record):
-    """Inverse-variance weighted lstsq start through an explicit Hermitian basis.
+    """Per-level weighted lstsq start through an explicit float design.
 
-    Multiplies the basis into the predictor for the design, expands the
-    coefficients back through it and symmetrizes, then clips and maps the
-    state to parameters as ``tomography._linear_inversion_start`` does.
+    Design column 2(i n + j) is the real part, column 2(i n + j) + 1 the
+    imaginary part, of conj(M)'s column-stacked slot i + j n, so that the
+    solution's float pair (2(i n + j), 2(i n + j) + 1) is Re and Im of the
+    estimate's entry (i, j).  Row (t, i) and its target are scaled by
+    sqrt(w_it / sum_t w_it) with w = 1/sigma^2.  Symmetrizes the estimate,
+    then clips and maps the state to parameters as
+    ``tomography._linear_inversion_start`` does.
     """
     from poptomo.tomography import _params_for_state
 
     n = record.dim
-    basis = hermitian_basis_columns(n)
-    design = (predictor.matrix @ basis).real
-    scale = np.sqrt((1.0 / np.square(record.sigmas)).T).reshape(-1)
-    target = record.means.T.reshape(-1)
-    coeffs = np.linalg.lstsq(design * scale[:, None], target * scale, rcond=None)[0]
-    estimate = (basis @ coeffs).reshape((n, n), order="F")
-    estimate = 0.5 * (estimate + estimate.conj().T)
-    w, v = np.linalg.eigh(estimate)
+    conj = np.conjugate(predictor.matrix)
+    design = np.empty((conj.shape[0], 2 * n * n))
+    for i in range(n):
+        for j in range(n):
+            design[:, 2 * (i * n + j)] = conj[:, i + j * n].real
+            design[:, 2 * (i * n + j) + 1] = conj[:, i + j * n].imag
+    weights = 1.0 / np.square(record.sigmas)
+    scale = np.sqrt(weights / weights.sum(axis=1, keepdims=True)).T.reshape(-1)
+    design *= scale[:, None]
+    target = record.means.T.reshape(-1) * scale
+    floats = np.linalg.lstsq(design, target, rcond=None)[0]
+    estimate = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            estimate[i, j] = complex(floats[2 * (i * n + j)], floats[2 * (i * n + j) + 1])
+    w, v = np.linalg.eigh(0.5 * (estimate + estimate.conj().T))
     w = np.clip(w, 0.0, None)
     total = w.sum()
     if total <= 0.0:

@@ -686,3 +686,52 @@ def test_flag_does_not_hide_a_bad_config_field(workspace, capsys, field, value, 
     assert code == 2
     assert field in capsys.readouterr().err
     assert not workspace["record"].exists()
+
+
+VALID_CSV = b"time_s,p_1,sigma_1\n0.0,1.0,0.01\n1e-06,1.0,0.01\n"
+UNREADABLE_INPUTS = {
+    "record_missing": ("record", None),
+    "record_directory": ("record", "directory"),
+    "record_not_utf8": ("record", b"time_s,p_1,sigma_1\n0.0,\xff1.0,0.01\n"),
+    "sidecar_not_utf8": ("sidecar", b'{"dim": 1\xff}'),
+    "state_missing": ("state", None),
+    "state_directory": ("state", "directory"),
+    "state_not_utf8": ("state", b'{"real": [[1.0]]\xff}'),
+    "state_nested_deep": ("state", b"[" * 200_000 + b"]" * 200_000),
+    "state_integer_too_long": ("state", b'{"real": [[' + b"1" * 5000 + b"]]}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_2_naming_the_file(workspace, tmp_path, capsys, case):
+    which, content = UNREADABLE_INPUTS[case]
+    path = tmp_path / ("input.json" if which == "state" else "input.csv")
+    bad = tmp_path / "input.meta.json" if which == "sidecar" else path
+    if which == "sidecar":
+        path.write_bytes(VALID_CSV)
+    if content == "directory":
+        bad.mkdir()
+    elif content is not None:
+        bad.write_bytes(content)
+    if which == "state":
+        argv = ["fidelity", "--a", path, "--b", path]
+    else:
+        argv = ["reconstruct", "--record", path, "--model", workspace["model"],
+                "--out", tmp_path / "r.json", "--max-evals", "200"]
+    assert run_cli(*argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["n_samples", "repeats", "atoms_per_shot"])
+def test_count_beyond_int64_exits_2(workspace, capsys, field):
+    config = json.loads(workspace["config"].read_text())
+    workspace["config"].write_text(json.dumps({**config, field: 2**70}))
+    code = run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    )
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not workspace["record"].exists()

@@ -119,6 +119,19 @@ class TestSynthesizeRecord:
         with pytest.raises(pt.InvalidState, match="dim"):
             pt.synthesize_record(pt.DensityMatrix.maximally_mixed(3), pt.ExperimentConfig(ladder))
 
+    @pytest.mark.parametrize("field", ["n_samples", "repeats", "atoms_per_shot"])
+    def test_counts_beyond_int64_rejected(self, ladder, field):
+        # numpy's sampler and array sizes stop at the int64 maximum
+        pt.ExperimentConfig(hamiltonian=ladder, **{field: 2**63 - 1})
+        for value in (2**63, 2**70):
+            with pytest.raises(pt.ValidationError, match=field):
+                pt.ExperimentConfig(hamiltonian=ladder, **{field: value})
+
+    def test_largest_atom_count_synthesizes(self, ladder, pi_half_state):
+        cfg = pt.ExperimentConfig(hamiltonian=ladder, n_samples=2, repeats=2, atoms_per_shot=2**63 - 1)
+        record = pt.synthesize_record(pi_half_state, cfg)
+        assert np.all(np.isfinite(record.means))
+
 
 NON_FINITE_FIELDS = [
     (kind, field, value)

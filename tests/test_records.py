@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import poptomo as pt
@@ -205,6 +205,53 @@ def test_malformed_input_property(slot, value, zero_sigma, cell):
             pass
 
 
+# keys the loaders read, so that arbitrary values reach the field readers
+LOADER_KEYS = st.sampled_from([
+    "dim", "repeats", "meta", "config", "hamiltonian", "type", "rabi_hz", "delta1",
+    "delta2_rad_s", "gamma_hz", "n_samples", "atoms_per_shot", "sample_interval_s",
+    "real", "imag", "rho0", "initial_state", "segments", "duration_s",
+]) | st.text(max_size=4)
+LOADER_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["ladder5", "generic", "mF=+2"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(LOADER_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+LOADER_BYTES = st.one_of(
+    st.binary(max_size=64),
+    LOADER_JSON.map(lambda value: json.dumps(value).encode()),
+    st.integers(1, 5_000).map(lambda depth: b'{"real": ' + b"[" * depth + b"]" * depth + b"}"),
+    st.just(b"time_s,p_1,sigma_1\n0.0,1.0,0.01\n1e-06,1.0,0.01\n"),
+)
+LOADERS = [
+    pt.load_record,
+    pt.experiment.load_model,
+    pt.experiment.load_experiment_config,
+    pt.experiment.load_state_or_schedule,
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(loader=st.sampled_from(LOADERS), content=LOADER_BYTES, sidecar=st.none() | LOADER_BYTES)
+@example(loader=pt.load_record, content=b"time_s\xff", sidecar=None)
+@example(loader=pt.experiment.load_model, content=b'{"gamma_hz": 1\xff}', sidecar=None)
+@example(loader=pt.experiment.load_state_or_schedule, content=b"[" * 200_000 + b"]" * 200_000, sidecar=None)
+@example(loader=pt.experiment.load_model, content=b'{"gamma_hz": ' + b"1" * 5000 + b"}", sidecar=None)
+@example(loader=pt.experiment.load_experiment_config, content=b'{"repeats": 1180591620717411303424}', sidecar=None)
+def test_loaders_raise_only_poptomo_errors(tmp_path_factory, loader, content, sidecar):
+    """Any bytes in an input file (and, for a record, in its sidecar) load or
+    raise a PoptomoError; never another exception."""
+    base = tmp_path_factory.mktemp("loader")
+    path = base / "input.csv"
+    path.write_bytes(content)
+    if sidecar is not None:
+        (base / "input.meta.json").write_bytes(sidecar)
+    try:
+        loader(path)
+    except pt.PoptomoError:
+        pass
+
+
 class TestLoader:
     def test_non_increasing_times_file(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -334,6 +381,22 @@ class TestLoader:
         path = tmp_path / "big.csv"
         path.write_text("time_s,p_1,sigma_1\n" + "1" * 200_000 + ",1.0,0.01\n")
         with pytest.raises(pt.ParseError, match="line"):
+            pt.load_record(path)
+
+    @pytest.mark.parametrize(
+        "bad_row, where",
+        [("1e-06,0.5,oops,0.01,0.01", "line 5, column 3"), ("1e-06,0.5,0.5,0.01", "line 5")],
+    )
+    def test_position_counts_blank_lines(self, tmp_path, bad_row, where):
+        path = tmp_path / "blank.csv"
+        path.write_text(
+            "time_s,p_1,p_2,sigma_1,sigma_2\n"
+            "0.0,0.5,0.5,0.01,0.01\n"
+            "\n"
+            "\n"
+            f"{bad_row}\n"
+        )
+        with pytest.raises(pt.ParseError, match=f"\\({where}\\)"):
             pt.load_record(path)
 
     def test_ragged_row(self, tmp_path):

@@ -283,7 +283,7 @@ INVERSION_CASES = [("ladder", 5, kind) for kind in ("plain", "noiseless", "drift
 
 @pytest.mark.parametrize("drive, dim, kind", INVERSION_CASES)
 def test_inversion_start_matches_explicit_basis(ladder, drive, dim, kind):
-    """The design read off the predictor's columns is the explicit basis product, bit for bit."""
+    """The inversion over the cost's rows is the explicit float design's, bit for bit."""
     rng = np.random.default_rng(dim)
     if drive == "ladder":
         hamiltonian = ladder
@@ -301,7 +301,7 @@ def test_inversion_start_matches_explicit_basis(ladder, drive, dim, kind):
     record = pt.synthesize_record(pt.DensityMatrix(oracles.random_density(rng, dim)), cfg)
     model = pt.EvolutionModel(hamiltonian=hamiltonian, gamma=375.0)
     predictor = pt.PopulationPredictor(model, record.times)
-    got = tomography._linear_inversion_start(predictor, record)
+    got = tomography._linear_inversion_start(tomography._WeightedCost(predictor, record))
     want = oracles.linear_inversion_reference(predictor, record)
     assert got is not None and want is not None
     assert got.tobytes() == want.tobytes()
@@ -484,19 +484,19 @@ class TestReconstruct:
         # code or the cost that moves the search at all shows here
         record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
         result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=2))
-        assert repr(result.epsilon) == "0.00034330173552155426"
-        assert result.opt.evals == 826
+        assert repr(result.epsilon) == "0.000343301735521607"
+        assert result.opt.evals == 804
         assert result.opt.converged_by == "xtol"
         assert [repr(float(f)) for f in result.opt.per_restart_f] == [
-            "0.000343301735521543",
+            "0.0003433017355215926",
         ]
 
     @pytest.mark.parametrize(
         "gamma, epsilon, gap, evals",
         [
-            (0.0, "0.002933143907511182", "5.204278958228511e-11", 1148),
-            (400.0, "0.00035669981054042035", "3.215599800563735e-19", 628),
-            (700.0, "0.003978300106801683", "3.2314172433353472e-18", 512),
+            (0.0, "0.002933143907511186", "9.886173761468367e-11", 1202),
+            (400.0, "0.0003566998105404193", "1.9092388316946008e-19", 635),
+            (700.0, "0.003978300106801667", "-1.2305235408823884e-18", 518),
         ],
     )
     def test_pinned_sweep_cells(self, ladder, pi_half_state, gamma, epsilon, gap, evals):
@@ -545,22 +545,25 @@ class TestReconstruct:
 class TestDiagonalStartFallback:
     """A record whose linear inversion has no physical projection.
 
-    Level 1 reads 21 with a huge sigma and every other level -5 with a tiny
-    one: the weighted inversion has no positive eigenvalue, so every clipped
-    eigenvalue is 0 and ``reconstruct`` must start from ``_diagonal_start``.
+    In each time column one level, rotating with time, reads 21 with a huge
+    sigma and the other four -5 with a tiny one: the weighted inversion has
+    no positive eigenvalue, so every clipped eigenvalue is 0 and
+    ``reconstruct`` must start from ``_diagonal_start``.
     """
 
     @pytest.fixture
     def record(self, ladder_model):
         means = np.full((5, 16), -5.0)
-        means[0] = 21.0
         sigmas = np.full((5, 16), 1e-4)
-        sigmas[0] = 1e3
+        high = np.arange(16) % 5
+        means[high, np.arange(16)] = 21.0
+        sigmas[high, np.arange(16)] = 1e3
         record = pt.MeasurementRecord(
             times=np.arange(16) * 1.16e-6, means=means, sigmas=sigmas
         )
         predictor = pt.PopulationPredictor(ladder_model, record.times)
-        assert tomography._linear_inversion_start(predictor, record) is None
+        cost = tomography._WeightedCost(predictor, record)
+        assert tomography._linear_inversion_start(cost) is None
         return record
 
     def test_reconstructs_from_the_diagonal_start(self, ladder_model, record, monkeypatch):
@@ -574,7 +577,7 @@ class TestDiagonalStartFallback:
         monkeypatch.setattr(tomography, "_diagonal_start", diagonal_start)
         result = pt.reconstruct(record, ladder_model, epsilon_ceiling=math.inf)
         assert calls == [record]
-        assert result.epsilon == pytest.approx(8.2445, rel=1e-4)
+        assert result.epsilon == pytest.approx(5.1859, rel=1e-4)
         assert 0.0 <= result.gap <= 1e-12
         assert result.opt.evals > 0
 
