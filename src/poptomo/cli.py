@@ -40,6 +40,8 @@ def _parse_range(text):
         raise ValidationError(f"bad range {text!r}") from None
     if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
         raise ValidationError(f"range {text!r} needs a finite start and stop and a count >= 1")
+    if count * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(f"range {text!r} has more points than numpy's largest array")
     return np.linspace(start, stop, count)
 
 

@@ -104,6 +104,12 @@ class ExperimentConfig:
             count = getattr(self, name)
             if not low <= count <= _MAX_COUNT:
                 raise ValidationError(f"{name} must be in [{low}, {_MAX_COUNT}], got {count}")
+        # synthesis holds every shot's populations in one float64 array
+        shots = self.n_samples * self.repeats * self.hamiltonian.dim
+        if shots * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(
+                f"n_samples * repeats * dim = {shots} shots exceed numpy's largest array"
+            )
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.detuning_noise < 0.0:

@@ -131,7 +131,7 @@ def infer_grid_step(times):
     """
     bad = [t for t in times if not 0.0 <= t < math.inf]
     if bad:
-        raise GridMismatch(f"time {bad[0]!r} is negative or not finite")
+        raise GridMismatch(f"time {float(bad[0])!r} is negative or not finite")
     positive = [t for t in times if t > 0.0]
     if not positive:
         raise GridMismatch("no positive time in the record")
@@ -150,7 +150,7 @@ def infer_grid_step(times):
         k = round(t / dt)
         if abs(t - k * dt) > max(GRID_ATOL, GRID_RTOL * t):
             raise GridMismatch(
-                f"time {t!r} is not a multiple of the grid step {dt!r}"
+                f"time {float(t)!r} is not a multiple of the grid step {float(dt)!r}"
             )
         if k > MAX_GRID_STEPS:
             raise GridMismatch("times do not share a reasonable uniform grid")
@@ -163,7 +163,7 @@ def truncate_record(record, window):
     kept = int(np.count_nonzero(mask))
     if kept < 2:
         raise EmptyWindow(
-            f"window {window!r} keeps {kept} time points, need at least 2"
+            f"window {float(window)!r} keeps {kept} time points, need at least 2"
         )
     meta = copy.deepcopy(record.meta)
     if isinstance(meta.get("config"), dict) and "n_samples" in meta["config"]:

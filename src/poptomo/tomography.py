@@ -207,10 +207,15 @@ class _WeightedCost:
 
     def __init__(self, predictor, record):
         n = predictor.dim
-        weights = 1.0 / np.square(record.sigmas)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+            weights = 1.0 / np.square(record.sigmas)
+            totals = weights.sum(axis=1, keepdims=True)
+        for level, total in enumerate(totals[:, 0], start=1):
+            if not 0.0 < total < math.inf:
+                raise ValidationError(f"level {level}: 1/sigma^2 or its sum leaves the float range")
         self.dim = n
         # (time, level) row order, matching the predictor
-        scale = np.sqrt(weights / weights.sum(axis=1, keepdims=True)).T.reshape(-1)
+        scale = np.sqrt(weights / totals).T.reshape(-1)
         # Re(M @ vec(G)) is conj(M) @ G as floats once M's columns are in C order
         c_order = np.arange(n * n).reshape((n, n), order="F").ravel()
         columns = predictor.matrix.take(c_order, axis=1)
@@ -304,29 +309,22 @@ def _linear_inversion_start(cost):
     over the cost's own rows and targets (G viewed as floats, in eps's
     per-level weights) is the unconstrained optimum.  An anti-Hermitian G
     predicts no population, so its n^2 directions are null and
-    ``rcond=None`` cuts them; clipping the eigenvalues of the Hermitian
-    estimate returns it to the state manifold.  None if none is positive.
+    ``rcond=None`` cuts them.  The Hermitian estimate's eigenvalues are
+    clipped at 0 and rescaled, or if none is positive projected onto the
+    simplex: its nearest state (Smolin et al., PRL 108, 070502, 2012).
     """
     n = cost.dim
     floats = np.linalg.lstsq(cost.rows, cost.targets, rcond=None)[0]
     estimate = floats.view(complex).reshape(n, n)
     w, v = np.linalg.eigh(0.5 * (estimate + estimate.conj().T))
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    physical = (v * (w / total)) @ v.conj().T
-    return _params_for_state(physical, n)
-
-
-def _diagonal_start(record):
-    """Full-rank state matching the first measured column; the start when
-    the inversion has no physical projection."""
-    n = record.dim
-    diag = np.clip(record.means[:, 0], 1e-9, None)
-    diag = diag / diag.sum()
-    guess = 0.75 * np.diag(diag.astype(complex)) + 0.25 * np.eye(n) / n
-    return rho_to_params(DensityMatrix(guess))
+    clipped = np.clip(w, 0.0, None)
+    if clipped.sum() > 0.0:
+        w = clipped / clipped.sum()
+    else:
+        descending = w[::-1]
+        tau = (np.cumsum(descending) - 1.0) / np.arange(1, n + 1)
+        w = np.clip(w - tau[descending > tau][-1], 0.0, None)
+    return _params_for_state((v * w) @ v.conj().T, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,9 +349,8 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
 
     Minimizes the inverse-variance weighted error over the Cholesky
     parameter space in one two-stage solve from the weighted linear
-    inversion (the diagonal guess only if the inversion has no physical
-    projection): BFGS on the analytic gradient, then one subplex polish
-    from the BFGS point.  Both stages share ``cfg.simplex.max_evals``
+    inversion's nearest state: BFGS on the analytic gradient, then one
+    subplex polish from the BFGS point.  Both stages share ``cfg.simplex.max_evals``
     (each gets at least one evaluation) and ``opt.evals`` is their sum;
     ``opt.converged_by`` and ``opt.per_restart_f`` are the polish's.
     ``cfg.restarts`` and ``cfg.rng_seed`` are not read.  The error is
@@ -369,12 +366,9 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     _check_record_model(record, model)
     predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record)
-    start = _linear_inversion_start(cost)
-    if start is None:
-        start = _diagonal_start(record)
     budget = cfg.simplex.max_evals
     # leave the polish at least one evaluation of the budget
-    descent = bfgs(cost.value_and_grad, start, max(budget - 1, 1))
+    descent = bfgs(cost.value_and_grad, _linear_inversion_start(cost), max(budget - 1, 1))
     polish_budget = replace(cfg.simplex, max_evals=max(budget - descent.evals, 1))
     polish = multi_start(
         cost, lambda rng: descent.best_x, replace(cfg, simplex=polish_budget, restarts=1)

@@ -228,7 +228,9 @@ def linear_inversion_reference(predictor, record):
     solution's float pair (2(i n + j), 2(i n + j) + 1) is Re and Im of the
     estimate's entry (i, j).  Row (t, i) and its target are scaled by
     sqrt(w_it / sum_t w_it) with w = 1/sigma^2.  Symmetrizes the estimate,
-    then clips and maps the state to parameters as
+    then clips its eigenvalues at 0 and rescales them, or, where none is
+    positive, projects them onto the simplex by a sort, a running sum and
+    a threshold, and maps the state to parameters as
     ``tomography._linear_inversion_start`` does.
     """
     from poptomo.tomography import _params_for_state
@@ -250,11 +252,18 @@ def linear_inversion_reference(predictor, record):
         for j in range(n):
             estimate[i, j] = complex(floats[2 * (i * n + j)], floats[2 * (i * n + j) + 1])
     w, v = np.linalg.eigh(0.5 * (estimate + estimate.conj().T))
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
-        return None
-    physical = (v * (w / total)) @ v.conj().T
+    clipped = np.clip(w, 0.0, None)
+    total = clipped.sum()
+    if total > 0.0:
+        w = clipped / total
+    else:
+        running = 0.0
+        for k, u in enumerate(sorted(w, reverse=True), start=1):
+            running += u
+            if u > (running - 1.0) / k:
+                tau = (running - 1.0) / k
+        w = np.array([max(0.0, x - tau) for x in w])
+    physical = (v * w) @ v.conj().T
     return _params_for_state(physical, n)
 
 

@@ -735,3 +735,77 @@ def test_count_beyond_int64_exits_2(workspace, capsys, field):
     assert code == 2
     assert field in capsys.readouterr().err
     assert not workspace["record"].exists()
+
+
+@pytest.mark.parametrize("counts", [{"n_samples": 2**60}, {"n_samples": 2**61}, {"repeats": 2**61}])
+def test_shots_beyond_the_largest_array_exit_2(workspace, capsys, counts):
+    config = json.loads(workspace["config"].read_text())
+    workspace["config"].write_text(json.dumps({**config, **counts}))
+    code = run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    )
+    assert code == 2
+    assert "shots exceed" in capsys.readouterr().err
+    assert not workspace["record"].exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_level_with_sigma_beyond_the_float_range_exits_2(workspace, tmp_path, capsys):
+    times = np.arange(16) * 1.16e-6
+    sigmas = np.full((5, 16), 1e-2)
+    sigmas[1] = 1e200
+    record = pt.MeasurementRecord(times=times, means=np.full((5, 16), 0.2), sigmas=sigmas)
+    pt.save_record(record, workspace["record"])
+    code = run_cli(
+        "reconstruct",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--out", workspace["result"],
+    )
+    assert code == 2
+    assert "level 2" in capsys.readouterr().err
+    assert not workspace["result"].exists()
+
+
+def test_range_count_beyond_the_largest_array_exits_2(workspace, tmp_path, capsys):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    code = run_cli(
+        "sweep-gamma",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--windows", "10e-6:17e-6:2",
+        "--gammas", "0:700:10000000000000000000",
+        "--out", tmp_path / "s.csv",
+    )
+    assert code == 2
+    assert "largest array" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_window_message_prints_plain_numbers(workspace, tmp_path, capsys):
+    assert run_cli(
+        "simulate",
+        "--config", workspace["config"],
+        "--state", workspace["schedule"],
+        "--out", workspace["record"],
+    ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "converge",
+        "--record", workspace["record"],
+        "--model", workspace["model"],
+        "--windows", "0:1e-6:2",
+        "--out", tmp_path / "conv.csv",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "window 0.0 keeps 1 time points" in err
+    assert "np.float64" not in err

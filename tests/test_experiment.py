@@ -122,10 +122,25 @@ class TestSynthesizeRecord:
     @pytest.mark.parametrize("field", ["n_samples", "repeats", "atoms_per_shot"])
     def test_counts_beyond_int64_rejected(self, ladder, field):
         # numpy's sampler and array sizes stop at the int64 maximum
-        pt.ExperimentConfig(hamiltonian=ladder, **{field: 2**63 - 1})
         for value in (2**63, 2**70):
             with pytest.raises(pt.ValidationError, match=field):
                 pt.ExperimentConfig(hamiltonian=ladder, **{field: value})
+
+    @pytest.mark.parametrize(
+        "counts", [{"n_samples": 2**60}, {"n_samples": 2**61}, {"repeats": 2**61}]
+    )
+    def test_shots_beyond_the_largest_array_rejected(self, ladder, counts):
+        # n_samples * repeats * dim float64 values must fit one numpy array
+        with pytest.raises(pt.ValidationError, match="shots exceed"):
+            pt.ExperimentConfig(hamiltonian=ladder, **counts)
+
+    def test_largest_addressable_shot_count_accepted(self, ladder):
+        largest = np.iinfo(np.intp).max // (8 * 5)
+        pt.ExperimentConfig(hamiltonian=ladder, n_samples=largest, repeats=1)
+        pt.ExperimentConfig(hamiltonian=ladder, n_samples=2, repeats=largest // 2)
+        pt.ExperimentConfig(hamiltonian=ladder, atoms_per_shot=2**63 - 1)
+        with pytest.raises(pt.ValidationError, match="shots exceed"):
+            pt.ExperimentConfig(hamiltonian=ladder, n_samples=largest + 1, repeats=1)
 
     def test_largest_atom_count_synthesizes(self, ladder, pi_half_state):
         cfg = pt.ExperimentConfig(hamiltonian=ladder, n_samples=2, repeats=2, atoms_per_shot=2**63 - 1)
@@ -508,12 +523,15 @@ def experiment_configs(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         entries = oracles.random_hermitian(rng, draw(st.integers(1, 9)), draw(st.floats(0.0, 1e12)))
         hamiltonian = pt.GenericHamiltonian(entries)
+    n_samples = draw(st.integers(2, 2**53))
+    # every shot of the record must fit one float64 array
+    max_shots = np.iinfo(np.intp).max // (8 * hamiltonian.dim)
     return pt.ExperimentConfig(
         hamiltonian=hamiltonian,
         gamma=draw(FINITE),
         sample_interval=draw(st.floats(5e-324, 1e300)),
-        n_samples=draw(st.integers(2, 2**53)),
-        repeats=draw(st.integers(1, 2**53)),
+        n_samples=n_samples,
+        repeats=draw(st.integers(1, min(2**53, max_shots // n_samples))),
         atoms_per_shot=draw(st.integers(1, 2**53)),
         rng_seed=draw(st.integers(0, 2**64 - 1)),
         noiseless=draw(st.booleans()),

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import poptomo as pt
@@ -276,7 +276,38 @@ def test_kink_level_contributes_nothing_to_the_gradient(seed, dim):
     assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
 
 
-INVERSION_CASES = [("ladder", 5, kind) for kind in ("plain", "noiseless", "drift")] + [
+def degenerate_record(high_means, low_means, high_sigmas, low_sigmas):
+    """A record whose weighted inversion has no positive eigenvalue.
+
+    In time column j level j % 5 reads ``high_means[j]`` with sigma
+    ``high_sigmas[j]`` and the other four levels read ``low_means[:, j]``
+    with sigmas ``low_sigmas[:, j]``, over 1.16 us steps.
+    """
+    n_times = len(high_means)
+    means = np.empty((5, n_times))
+    sigmas = np.empty((5, n_times))
+    for j in range(n_times):
+        low = [i for i in range(5) if i != j % 5]
+        means[low, j], sigmas[low, j] = low_means[:, j], low_sigmas[:, j]
+        means[j % 5, j], sigmas[j % 5, j] = high_means[j], high_sigmas[j]
+    return pt.MeasurementRecord(times=np.arange(n_times) * 1.16e-6, means=means, sigmas=sigmas)
+
+
+def fixture_degenerate_record():
+    """16 columns: the rotating level reads 21 at sigma 1e3, the others -5 at 1e-4."""
+    return degenerate_record(
+        np.full(16, 21.0), np.full((4, 16), -5.0), np.full(16, 1e3), np.full((4, 16), 1e-4)
+    )
+
+
+def inversion_eigenvalues(cost):
+    """Eigenvalues of the Hermitian part of the unconstrained weighted inversion."""
+    n = cost.dim
+    estimate = np.linalg.lstsq(cost.rows, cost.targets, rcond=None)[0].view(complex).reshape(n, n)
+    return np.linalg.eigvalsh(0.5 * (estimate + estimate.conj().T))
+
+
+INVERSION_CASES = [("ladder", 5, kind) for kind in ("plain", "noiseless", "drift", "degenerate")] + [
     ("generic", dim, kind) for dim in range(1, 7) for kind in ("plain", "noiseless")
 ]
 
@@ -289,22 +320,54 @@ def test_inversion_start_matches_explicit_basis(ladder, drive, dim, kind):
         hamiltonian = ladder
     else:
         hamiltonian = pt.GenericHamiltonian(oracles.random_hermitian(rng, dim, TWO_PI * 40e3))
-    cfg = pt.ExperimentConfig(
-        hamiltonian=hamiltonian,
-        gamma=375.0,
-        n_samples=23,
-        repeats=3,
-        rng_seed=dim,
-        noiseless=kind == "noiseless",
-        detuning_noise=TWO_PI * 5e3 if kind == "drift" else 0.0,
-    )
-    record = pt.synthesize_record(pt.DensityMatrix(oracles.random_density(rng, dim)), cfg)
+    if kind == "degenerate":
+        record = fixture_degenerate_record()
+    else:
+        cfg = pt.ExperimentConfig(
+            hamiltonian=hamiltonian,
+            gamma=375.0,
+            n_samples=23,
+            repeats=3,
+            rng_seed=dim,
+            noiseless=kind == "noiseless",
+            detuning_noise=TWO_PI * 5e3 if kind == "drift" else 0.0,
+        )
+        record = pt.synthesize_record(pt.DensityMatrix(oracles.random_density(rng, dim)), cfg)
     model = pt.EvolutionModel(hamiltonian=hamiltonian, gamma=375.0)
     predictor = pt.PopulationPredictor(model, record.times)
-    got = tomography._linear_inversion_start(tomography._WeightedCost(predictor, record))
+    cost = tomography._WeightedCost(predictor, record)
+    assert (inversion_eigenvalues(cost)[-1] <= 0.0) == (kind == "degenerate")
+    got = tomography._linear_inversion_start(cost)
     want = oracles.linear_inversion_reference(predictor, record)
-    assert got is not None and want is not None
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    low=st.floats(-10.0, -0.5),
+    seed=st.integers(0, 2**32 - 1),
+    n_times=st.integers(8, 30),
+)
+def test_degenerate_inversion_start_is_the_nearest_state(ladder_model, low, seed, n_times):
+    """Four levels near a negative value with tight sigmas and one loose level at
+    one minus their sum: the start is finite, valid and the oracle's."""
+    rng = np.random.default_rng(seed)
+    low_means = low * (1.0 + rng.uniform(-0.05, 0.05, size=(4, n_times)))
+    record = degenerate_record(
+        1.0 - low_means.sum(axis=0),
+        low_means,
+        10.0 ** rng.uniform(2.0, 4.0, size=n_times),
+        10.0 ** rng.uniform(-5.0, -3.0, size=(4, n_times)),
+    )
+    predictor = pt.PopulationPredictor(ladder_model, record.times)
+    cost = tomography._WeightedCost(predictor, record)
+    assume(inversion_eigenvalues(cost)[-1] <= 0.0)
+    start = tomography._linear_inversion_start(cost)
+    assert np.all(np.isfinite(start))
+    rho = pt.params_to_rho(start)
+    assert np.linalg.eigvalsh(rho.matrix)[0] >= 0.0
+    assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+    assert start.tobytes() == oracles.linear_inversion_reference(predictor, record).tobytes()
 
 
 class TestInferGridStep:
@@ -322,6 +385,8 @@ class TestInferGridStep:
         # close enough to 2 for the fraction, too far for the grid tolerance
         with pytest.raises(pt.GridMismatch, match="not a multiple of the grid step"):
             pt.infer_grid_step([1.0, 2.0000003])
+        with pytest.raises(pt.GridMismatch, match=r"time 2\.0000003 .* step 1\.0$"):
+            pt.infer_grid_step(np.array([1.0, 2.0000003]))
 
     @pytest.mark.parametrize(
         "times", [[math.inf], [0.0, math.nan], [-1e-6, 0.0, 1e-6], [0.0, 1e-6, math.inf]]
@@ -542,44 +607,51 @@ class TestReconstruct:
             )
 
 
-class TestDiagonalStartFallback:
-    """A record whose linear inversion has no physical projection.
+@pytest.mark.filterwarnings("error")
+class TestExtremeSigmas:
+    """A level whose weights 1/sigma^2, or their sum, leave the float range."""
+
+    @pytest.fixture(params=[1e-200, 1e-154, 1e160], ids=["tiny", "sum-overflows", "huge"])
+    def record(self, request, ladder_model):
+        record = make_record(ladder_model, pt.DensityMatrix.maximally_mixed(5))
+        sigmas = record.sigmas.copy()
+        sigmas[2] = request.param
+        return pt.MeasurementRecord(times=record.times, means=record.means, sigmas=sigmas)
+
+    def test_reconstruct_names_the_level(self, ladder_model, record):
+        with pytest.raises(pt.ValidationError, match="level 3"):
+            pt.reconstruct(record, ladder_model)
+
+    def test_weighted_error_names_the_level(self, ladder_model, record):
+        with pytest.raises(pt.ValidationError, match="level 3"):
+            pt.weighted_error(pt.DensityMatrix.maximally_mixed(5), record, ladder_model)
+
+    def test_sweep_reports_failed_cells(self, ladder, record):
+        sweep = pt.sweep_gamma(record, ladder, [record.span], [0.0, 375.0], quick_subplex(500))
+        assert np.all(np.isposinf(sweep.error_surface))
+        assert np.isnan(sweep.gamma_opt).all()
+
+
+class TestDegenerateInversion:
+    """A record whose weighted inversion has no positive eigenvalue.
 
     In each time column one level, rotating with time, reads 21 with a huge
-    sigma and the other four -5 with a tiny one: the weighted inversion has
-    no positive eigenvalue, so every clipped eigenvalue is 0 and
-    ``reconstruct`` must start from ``_diagonal_start``.
+    sigma and the other four -5 with a tiny one, so every clipped
+    eigenvalue is 0 and the start is the estimate's nearest state.
     """
 
     @pytest.fixture
     def record(self, ladder_model):
-        means = np.full((5, 16), -5.0)
-        sigmas = np.full((5, 16), 1e-4)
-        high = np.arange(16) % 5
-        means[high, np.arange(16)] = 21.0
-        sigmas[high, np.arange(16)] = 1e3
-        record = pt.MeasurementRecord(
-            times=np.arange(16) * 1.16e-6, means=means, sigmas=sigmas
-        )
+        record = fixture_degenerate_record()
         predictor = pt.PopulationPredictor(ladder_model, record.times)
-        cost = tomography._WeightedCost(predictor, record)
-        assert tomography._linear_inversion_start(cost) is None
+        assert inversion_eigenvalues(tomography._WeightedCost(predictor, record))[-1] <= 0.0
         return record
 
-    def test_reconstructs_from_the_diagonal_start(self, ladder_model, record, monkeypatch):
-        calls = []
-        original = tomography._diagonal_start
-
-        def diagonal_start(rec):
-            calls.append(rec)
-            return original(rec)
-
-        monkeypatch.setattr(tomography, "_diagonal_start", diagonal_start)
+    def test_reconstructs_from_the_nearest_state(self, ladder_model, record):
         result = pt.reconstruct(record, ladder_model, epsilon_ceiling=math.inf)
-        assert calls == [record]
         assert result.epsilon == pytest.approx(5.1859, rel=1e-4)
         assert 0.0 <= result.gap <= 1e-12
-        assert result.opt.evals > 0
+        assert 0 < result.opt.evals < 1_000
 
     def test_default_ceiling_raises(self, ladder_model, record):
         with pytest.raises(pt.NoConvergence):
