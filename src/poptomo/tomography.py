@@ -19,8 +19,9 @@ and ``c * p`` give the same state), which realizes the n^2 - 1 physical
 degrees of freedom with one redundant direction.  A full factor leaves
 no spurious local minimum (Burer & Monteiro, Math. Program. 103, 427,
 2005), so one search suffices: BFGS on the analytic gradient from the
-weighted linear inversion, then a subplex polish.  Each result carries the Frank-Wolfe
-gap, an upper bound on how far its error is above the minimum.  On top
+weighted linear inversion, then a subplex polish only where BFGS's point
+is not certified.  Each result carries the Frank-Wolfe gap, an upper
+bound on how far its error is above the minimum.  On top
 of single reconstructions this module provides the window-length
 convergence study and the dephasing-rate sweep.
 """
@@ -54,6 +55,9 @@ from .records import infer_grid_step, truncate_record
 
 RANK_JITTER = 1e-12
 EPSILON_CEILING = 1.0
+# A BFGS point whose Frank-Wolfe gap is at most this fraction of its error
+# is returned as it is; any other gets the subplex polish.
+CERTIFIED_RTOL = 1e-6
 
 
 class PopulationPredictor:
@@ -348,17 +352,21 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     """Reconstruct the initial density matrix from a measurement record.
 
     Minimizes the inverse-variance weighted error over the Cholesky
-    parameter space in one two-stage solve from the weighted linear
-    inversion's nearest state: BFGS on the analytic gradient, then one
-    subplex polish from the BFGS point.  Both stages share ``cfg.simplex.max_evals``
-    (each gets at least one evaluation) and ``opt.evals`` is their sum;
-    ``opt.converged_by`` and ``opt.per_restart_f`` are the polish's.
-    ``cfg.restarts`` and ``cfg.rng_seed`` are not read.  The error is
-    convex in rho and the Cholesky factor is full, so every local
-    minimum is global and no random restarts are needed; ``gap``
-    certifies how far ``epsilon`` can be above the minimum.
-    Deterministic.  Raises NoConvergence if the error ends above
-    ``epsilon_ceiling``.
+    parameter space from the weighted linear inversion's nearest state:
+    BFGS on the analytic gradient, on all of ``cfg.simplex.max_evals``
+    but one.  Where the Frank-Wolfe gap at its point is at most
+    ``CERTIFIED_RTOL`` times its error, that point and its certificate
+    are the result and ``opt`` is BFGS's own (stopped on ``line_search``,
+    ``stall``, ``gtol`` or ``max_evals``).  Anywhere else, a stall or a
+    kink, one subplex polish runs from the BFGS point on the rest of the
+    budget (at least one evaluation); ``opt.evals`` is then both stages'
+    sum and ``opt.converged_by`` and ``opt.per_restart_f`` are the
+    polish's (``xtol``, ``ftol`` or ``max_evals``).  ``cfg.restarts`` and
+    ``cfg.rng_seed`` are not read.  The error is convex in rho and the
+    Cholesky factor is full, so every local minimum is global and no
+    random restarts are needed; ``gap`` certifies how far ``epsilon``
+    can be above the minimum.  Deterministic.  Raises NoConvergence if
+    the error ends above ``epsilon_ceiling``.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     if math.isnan(epsilon_ceiling):
@@ -368,14 +376,17 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     cost = _WeightedCost(predictor, record)
     budget = cfg.simplex.max_evals
     # leave the polish at least one evaluation of the budget
-    descent = bfgs(cost.value_and_grad, _linear_inversion_start(cost), max(budget - 1, 1))
-    polish_budget = replace(cfg.simplex, max_evals=max(budget - descent.evals, 1))
-    polish = multi_start(
-        cost, lambda rng: descent.best_x, replace(cfg, simplex=polish_budget, restarts=1)
-    )
-    opt = replace(polish, evals=descent.evals + polish.evals)
+    opt = descent = bfgs(cost.value_and_grad, _linear_inversion_start(cost), max(budget - 1, 1))
     rho0 = params_to_rho(opt.best_x)
     epsilon, gap = cost.certificate(rho0.matrix)
+    if not gap <= CERTIFIED_RTOL * epsilon:  # a NaN gap polishes too
+        polish_budget = replace(cfg.simplex, max_evals=max(budget - descent.evals, 1))
+        polish = multi_start(
+            cost, lambda rng: descent.best_x, replace(cfg, simplex=polish_budget, restarts=1)
+        )
+        opt = replace(polish, evals=descent.evals + polish.evals)
+        rho0 = params_to_rho(opt.best_x)
+        epsilon, gap = cost.certificate(rho0.matrix)
     if epsilon > epsilon_ceiling:
         raise NoConvergence(
             f"best reconstruction error {epsilon:.3e} exceeds ceiling {epsilon_ceiling:.3e}"

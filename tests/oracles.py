@@ -3,7 +3,7 @@
 Everything here is deliberately written from the defining formulas
 (projector sums, explicit commutators, fixed-step RK4, closed-form
 solutions) and never touches the package's vectorized-propagator code
-path, so agreement between the two is meaningful.  Three exceptions
+path, so agreement between the two is meaningful.  Four exceptions
 pin arithmetic, not physics: ``reference_record`` pins the record
 sampler's draw order and memory layout, so it propagates with the
 package's ``make_propagator``; ``linear_inversion_reference`` pins the
@@ -11,7 +11,8 @@ inversion start's design and weights, so it reads the package's
 predictor matrix and ends in the package's parameter map;
 ``nelder_mead_reference`` pins the simplex's rounding, so it is the
 plain loop (a full sort and a ``mean`` every iteration) with the
-package's coefficients.
+package's coefficients; ``two_stage_reference`` pins the solve that
+polishes every BFGS point, so it runs the package's cost and optimizers.
 """
 
 import math
@@ -348,3 +349,23 @@ def nelder_mead_reference(f, x0, max_evals=200_000):
             reason = o.MAX_EVALS
     best = int(np.argmin(fsim))
     return sim[best].copy(), float(fsim[best]), counts["evals"], reason, in_shrink
+
+
+def two_stage_reference(record, model, max_evals):
+    """The always-polish solve: BFGS from the inversion start on all but one
+    evaluation, then a one-start subplex polish from its point on what is left.
+
+    Returns epsilon at the polished state.  ``reconstruct`` skips the
+    polish where BFGS's point is certified, and must not end above this.
+    """
+    import poptomo as pt
+    from poptomo import tomography
+    from poptomo.optimize import bfgs, multi_start
+
+    cost = tomography._WeightedCost(pt.PopulationPredictor(model, record.times), record)
+    descent = bfgs(cost.value_and_grad, tomography._linear_inversion_start(cost), max(max_evals - 1, 1))
+    cfg = pt.SubplexConfig(
+        simplex=pt.SimplexConfig(max_evals=max(max_evals - descent.evals, 1)), restarts=1
+    )
+    polish = multi_start(cost, lambda rng: descent.best_x, cfg)
+    return cost.certificate(pt.params_to_rho(polish.best_x).matrix)[0]

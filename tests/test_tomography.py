@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import poptomo as pt
 import poptomo.records as records
 import poptomo.tomography as tomography
+from poptomo.optimize import bfgs
 import oracles
 from conftest import quick_subplex
 
@@ -488,6 +489,23 @@ class TestPropagationRoutes:
         np.testing.assert_allclose(stepped, predicted[:, k], rtol=0.0, atol=1e-10)
 
 
+def bfgs_point(record, model, budget):
+    """(BFGS's result, eps, gap) of reconstruct's first stage on ``budget``."""
+    cost = tomography._WeightedCost(pt.PopulationPredictor(model, record.times), record)
+    descent = bfgs(cost.value_and_grad, tomography._linear_inversion_start(cost), budget - 1)
+    return (descent, *cost.certificate(pt.params_to_rho(descent.best_x).matrix))
+
+
+@pytest.fixture(scope="module")
+def stalled_window(ladder, ladder_model):
+    """Criterion 5's 0.5 T window of its third state, where BFGS stalls."""
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        rho_true = pt.DensityMatrix(oracles.random_density(rng, 5))
+    record = make_record(ladder_model, rho_true, n_samples=58, noiseless=False, seed=302)
+    return pt.truncate_record(record, 0.5 * TWO_PI / ladder.rabi_omega)
+
+
 class TestReconstruct:
     def test_noiseless_pure_state_round_trip(self, drive_only_model):
         rng = np.random.default_rng(5)
@@ -550,8 +568,8 @@ class TestReconstruct:
         record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
         result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=2))
         assert repr(result.epsilon) == "0.000343301735521607"
-        assert result.opt.evals == 804
-        assert result.opt.converged_by == "xtol"
+        assert result.opt.evals == 223
+        assert result.opt.converged_by == "line_search"
         assert [repr(float(f)) for f in result.opt.per_restart_f] == [
             "0.0003433017355215926",
         ]
@@ -559,9 +577,9 @@ class TestReconstruct:
     @pytest.mark.parametrize(
         "gamma, epsilon, gap, evals",
         [
-            (0.0, "0.002933143907511186", "9.886173761468367e-11", 1202),
-            (400.0, "0.0003566998105404193", "1.9092388316946008e-19", 635),
-            (700.0, "0.003978300106801667", "-1.2305235408823884e-18", 518),
+            (0.0, "0.002933143907511186", "9.886173761468367e-11", 296),
+            (400.0, "0.0003566998105404193", "1.9092388316946008e-19", 231),
+            (700.0, "0.003978300106801667", "-1.2305235408823884e-18", 155),
         ],
     )
     def test_pinned_sweep_cells(self, ladder, pi_half_state, gamma, epsilon, gap, evals):
@@ -572,7 +590,50 @@ class TestReconstruct:
         model = pt.EvolutionModel(hamiltonian=ladder, gamma=gamma)
         result = pt.reconstruct(record, model, quick_subplex(max_evals=3_000, restarts=1))
         assert (repr(result.epsilon), repr(result.gap)) == (epsilon, gap)
-        assert (result.opt.evals, result.opt.converged_by) == (evals, "xtol")
+        assert (result.opt.evals, result.opt.converged_by) == (evals, "line_search")
+
+    def test_certified_bfgs_point_is_returned_as_it_is(self, ladder_model, pi_half_state):
+        # the pinned record's BFGS point is certified, so nothing runs after BFGS
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
+        result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=2))
+        descent, _, _ = bfgs_point(record, ladder_model, 3_000)
+        assert result.rho0.matrix.tobytes() == pt.params_to_rho(descent.best_x).matrix.tobytes()
+        assert (result.opt.evals, result.opt.converged_by) == (descent.evals, descent.converged_by)
+
+    def test_uncertified_bfgs_point_is_polished(self, ladder_model, stalled_window):
+        descent, epsilon, gap = bfgs_point(stalled_window, ladder_model, 15_000)
+        assert descent.converged_by == "stall"
+        assert gap > 100.0 * epsilon
+        result = pt.reconstruct(stalled_window, ladder_model, quick_subplex(max_evals=15_000))
+        assert result.opt.evals > descent.evals
+        assert result.opt.converged_by in ("xtol", "ftol", "max_evals")
+        assert result.epsilon <= epsilon
+
+    def test_nan_gap_is_polished(self, ladder_model, pi_half_state, monkeypatch):
+        certificate = tomography._WeightedCost.certificate
+        monkeypatch.setattr(
+            tomography._WeightedCost, "certificate", lambda cost, m: (certificate(cost, m)[0], math.nan)
+        )
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
+        result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000))
+        assert result.opt.converged_by == "xtol"
+
+    def test_gate_never_ends_above_the_two_stage_solve(
+        self, ladder, ladder_model, pi_half_state, stalled_window
+    ):
+        truth = pt.EvolutionModel(hamiltonian=ladder, gamma=400.0)
+        cell = make_record(truth, pi_half_state, n_samples=87, noiseless=False, seed=500)
+        cases = [
+            (make_record(ladder_model, pi_half_state, noiseless=False, seed=3), ladder_model, 3_000),
+            (stalled_window, ladder_model, 15_000),
+        ] + [
+            (cell, pt.EvolutionModel(hamiltonian=ladder, gamma=gamma), 3_000)
+            for gamma in (0.0, 400.0, 700.0)
+        ]
+        for record, model, budget in cases:
+            gated = pt.reconstruct(record, model, quick_subplex(max_evals=budget))
+            reference = oracles.two_stage_reference(record, model, budget)
+            assert gated.epsilon <= reference * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_on_pi_half_records(self, ladder_model, pi_half_state, seed):
