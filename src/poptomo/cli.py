@@ -72,13 +72,13 @@ def _add_solver_flags(parser):
         "--restarts",
         type=int,
         default=SubplexConfig.restarts,
-        help="accepted but unused: the solve has no restarts",
+        help="accepted but unused: the solve restarts only where its point is uncertified",
     )
     parser.add_argument(
         "--max-evals",
         type=int,
         default=SimplexConfig.max_evals,
-        help="total evaluation budget of one reconstruction (BFGS and polish together)",
+        help="total evaluation budget of one reconstruction (every BFGS run together)",
     )
 
 

@@ -18,10 +18,10 @@ construction.  The overall scale of the vector is a gauge freedom (``p``
 and ``c * p`` give the same state), which realizes the n^2 - 1 physical
 degrees of freedom with one redundant direction.  A full factor leaves
 no spurious local minimum (Burer & Monteiro, Math. Program. 103, 427,
-2005), so one search suffices: BFGS on the analytic gradient from the
-weighted linear inversion, then a subplex polish only where BFGS's point
-is not certified.  Each result carries the Frank-Wolfe gap, an upper
-bound on how far its error is above the minimum.  On top
+2005), so one solver suffices: BFGS on the analytic gradient from the
+weighted linear inversion, restarted from its state's own factor only
+where BFGS's point is not certified.  Each result carries the Frank-Wolfe
+gap, an upper bound on how far its error is above the minimum.  On top
 of single reconstructions this module provides the window-length
 convergence study and the dephasing-rate sweep.
 """
@@ -50,13 +50,14 @@ from .dynamics import (
     make_propagator,
     uhlmann_fidelity,
 )
-from .optimize import OptResult, SubplexConfig, bfgs, multi_start
+from .optimize import STALL_RTOL, OptResult, SubplexConfig, bfgs
+from .optimize import multi_start  # not called: kept only so perfbench/tracing.py can rebind it
 from .records import infer_grid_step, truncate_record
 
 RANK_JITTER = 1e-12
 EPSILON_CEILING = 1.0
 # A BFGS point whose Frank-Wolfe gap is at most this fraction of its error
-# is returned as it is; any other gets the subplex polish.
+# is returned as it is; from any other BFGS restarts on its state's factor.
 CERTIFIED_RTOL = 1e-6
 
 
@@ -352,21 +353,24 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     """Reconstruct the initial density matrix from a measurement record.
 
     Minimizes the inverse-variance weighted error over the Cholesky
-    parameter space from the weighted linear inversion's nearest state:
-    BFGS on the analytic gradient, on all of ``cfg.simplex.max_evals``
-    but one.  Where the Frank-Wolfe gap at its point is at most
-    ``CERTIFIED_RTOL`` times its error, that point and its certificate
-    are the result and ``opt`` is BFGS's own (stopped on ``line_search``,
-    ``stall``, ``gtol`` or ``max_evals``).  Anywhere else, a stall or a
-    kink, one subplex polish runs from the BFGS point on the rest of the
-    budget (at least one evaluation); ``opt.evals`` is then both stages'
-    sum and ``opt.converged_by`` and ``opt.per_restart_f`` are the
-    polish's (``xtol``, ``ftol`` or ``max_evals``).  ``cfg.restarts`` and
-    ``cfg.rng_seed`` are not read.  The error is convex in rho and the
-    Cholesky factor is full, so every local minimum is global and no
-    random restarts are needed; ``gap`` certifies how far ``epsilon``
-    can be above the minimum.  Deterministic.  Raises NoConvergence if
-    the error ends above ``epsilon_ceiling``.
+    parameter space with BFGS on the analytic gradient, on a total of
+    ``cfg.simplex.max_evals`` evaluations.  The first run starts from the
+    weighted linear inversion's nearest state.  While the Frank-Wolfe gap
+    at the returned point is above ``CERTIFIED_RTOL`` times its error (a
+    NaN gap too) and budget remains, BFGS restarts with a fresh inverse
+    Hessian from that state's own positive-diagonal factor (a stall near a
+    rank-deficient factor is left behind by re-factoring).  A restart is
+    kept only if it lowers f; the loop stops after one that does not, or
+    that lowers f by at most ``STALL_RTOL`` times f.  ``opt.evals`` is the
+    sum over all runs, ``opt.per_restart_f`` holds each run's f in order,
+    and ``opt.converged_by`` is the stop reason (``line_search``,
+    ``stall``, ``gtol`` or ``max_evals``) of the run whose point is
+    returned.  ``cfg.restarts`` and ``cfg.rng_seed`` are not read.  The
+    error is convex in rho and the Cholesky factor is full, so every
+    local minimum is global and no random starts are needed; ``gap``
+    certifies how far ``epsilon`` can be above the minimum.
+    Deterministic.  Raises NoConvergence if the error ends above
+    ``epsilon_ceiling``.
     """
     cfg = cfg if cfg is not None else SubplexConfig()
     if math.isnan(epsilon_ceiling):
@@ -375,18 +379,23 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record)
     budget = cfg.simplex.max_evals
-    # leave the polish at least one evaluation of the budget
-    opt = descent = bfgs(cost.value_and_grad, _linear_inversion_start(cost), max(budget - 1, 1))
+    opt = bfgs(cost.value_and_grad, _linear_inversion_start(cost), budget)
+    evals, run_f = opt.evals, [opt.best_f]
     rho0 = params_to_rho(opt.best_x)
     epsilon, gap = cost.certificate(rho0.matrix)
-    if not gap <= CERTIFIED_RTOL * epsilon:  # a NaN gap polishes too
-        polish_budget = replace(cfg.simplex, max_evals=max(budget - descent.evals, 1))
-        polish = multi_start(
-            cost, lambda rng: descent.best_x, replace(cfg, simplex=polish_budget, restarts=1)
-        )
-        opt = replace(polish, evals=descent.evals + polish.evals)
+    while not gap <= CERTIFIED_RTOL * epsilon and evals < budget:  # a NaN gap restarts too
+        run = bfgs(cost.value_and_grad, _params_for_state(rho0.matrix, cost.dim), budget - evals)
+        evals += run.evals
+        run_f.append(run.best_f)
+        if run.best_f >= opt.best_f:
+            break
+        gain = opt.best_f - run.best_f
+        opt = run
         rho0 = params_to_rho(opt.best_x)
         epsilon, gap = cost.certificate(rho0.matrix)
+        if gain <= STALL_RTOL * opt.best_f:
+            break
+    opt = replace(opt, evals=evals, per_restart_f=np.array(run_f))
     if epsilon > epsilon_ceiling:
         raise NoConvergence(
             f"best reconstruction error {epsilon:.3e} exceeds ceiling {epsilon_ceiling:.3e}"

@@ -13,6 +13,7 @@ predictor matrix and ends in the package's parameter map;
 plain loop (a full sort and a ``mean`` every iteration) with the
 package's coefficients; ``two_stage_reference`` pins the solve that
 polishes every BFGS point, so it runs the package's cost and optimizers.
+``degenerate_record`` is a recipe for inputs, not a reference.
 """
 
 import math
@@ -355,8 +356,8 @@ def two_stage_reference(record, model, max_evals):
     """The always-polish solve: BFGS from the inversion start on all but one
     evaluation, then a one-start subplex polish from its point on what is left.
 
-    Returns epsilon at the polished state.  ``reconstruct`` skips the
-    polish where BFGS's point is certified, and must not end above this.
+    Returns epsilon at the polished state.  ``reconstruct``, which restarts
+    BFGS instead of polishing, must not end above this.
     """
     import poptomo as pt
     from poptomo import tomography
@@ -369,3 +370,30 @@ def two_stage_reference(record, model, max_evals):
     )
     polish = multi_start(cost, lambda rng: descent.best_x, cfg)
     return cost.certificate(pt.params_to_rho(polish.best_x).matrix)[0]
+
+
+def degenerate_record(seed):
+    """A record whose weighted inversion usually has no positive eigenvalue.
+
+    ``seed`` seeds ``np.random.default_rng`` (a Generator is used as it
+    is).  n = integers(8, 30) points on the 1.16 us grid and a level
+    c = uniform(-10, -0.5); in time column j the four levels other than
+    j % 5 read c * (1 + uniform(-0.05, 0.05, 4)) with sigmas
+    10**uniform(-5, -3, 4), and level j % 5 reads one minus their sum with
+    sigma uniform(1e2, 1e4), drawn column by column in that order.  The
+    caller checks the inversion: about 5 seeds in 6 give a degenerate one.
+    """
+    import poptomo as pt
+
+    rng = np.random.default_rng(seed)
+    n_times = int(rng.integers(8, 30))
+    low = rng.uniform(-10.0, -0.5)
+    means = np.empty((5, n_times))
+    sigmas = np.empty((5, n_times))
+    for j in range(n_times):
+        others = [i for i in range(5) if i != j % 5]
+        means[others, j] = low * (1.0 + rng.uniform(-0.05, 0.05, 4))
+        sigmas[others, j] = 10.0 ** rng.uniform(-5.0, -3.0, 4)
+        means[j % 5, j] = 1.0 - means[others, j].sum()
+        sigmas[j % 5, j] = rng.uniform(1e2, 1e4)
+    return pt.MeasurementRecord(times=np.arange(n_times) * 1.16e-6, means=means, sigmas=sigmas)
