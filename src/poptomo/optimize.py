@@ -338,11 +338,15 @@ def multi_start(f, sampler, cfg=None):
     return replace(winner, evals=evals, per_restart_f=np.array(per_restart))
 
 
-def bfgs(fg, x0, max_evals):
+def bfgs(f, grad, x0, max_evals):
     """Minimize a smooth f from x0 with dense BFGS and Armijo backtracking.
 
-    ``fg(x)`` returns ``(f, gradient)``; each call counts one evaluation
-    against ``max_evals``.  The inverse Hessian starts as the identity and
+    ``f(x)`` returns the value and ``grad(x)`` the gradient.  Each ``f``
+    call counts one evaluation against ``max_evals``.  A line search needs
+    only values, so ``grad`` is called once at the start and once per
+    accepted step, each time on the ``x`` of the latest ``f`` call: an
+    objective may finish the gradient from what that value call left.
+    The inverse Hessian starts as the identity and
     is scaled by s.y / y.y before its first update (Nocedal & Wright,
     eq. 6.20); a step that does not raise the slope (s.y <= 0) skips the
     update, and so does one where the update would divide by zero or
@@ -357,14 +361,17 @@ def bfgs(fg, x0, max_evals):
     x = _start(x0).copy()
     if max_evals < 1:
         raise ValidationError("max_evals must be at least 1")
-    f, g = fg(x)
-    f = float(f)
-    if not math.isfinite(f):
+    fx = float(f(x))
+    if not math.isfinite(fx):
         raise NonFiniteObjective("objective is not finite at the start point")
+    g = grad(x)
     evals = 1
     inverse = np.eye(x.size)
+    # the rank-2 update's terms, written in place
+    outer = np.empty_like(inverse)
+    cross = np.empty_like(inverse)
     scaled = False
-    history = [f]
+    history = [fx]
     reason = None
     while reason is None:
         if not g.any():
@@ -384,16 +391,16 @@ def bfgs(fg, x0, max_evals):
                 reason = MAX_EVALS
                 break
             trial = x + direction if step == 1.0 else x + step * direction  # 1.0 * d is d
-            f_trial, g_trial = fg(trial)
-            f_trial = float(f_trial)
+            f_trial = float(f(trial))
             evals += 1
-            if f_trial < f + ARMIJO * step * slope:
+            if f_trial < fx + ARMIJO * step * slope:
                 break
             step *= BACKTRACK
         else:
             reason = LINE_SEARCH
         if reason is not None:
             break
+        g_trial = grad(trial)
         s = trial - x
         y = g_trial - g
         sy = float(s.dot(y))
@@ -406,12 +413,14 @@ def bfgs(fg, x0, max_evals):
                 inverse *= sy / float(y.dot(y))
                 scaled = True
             hy = inverse.dot(y)
-            inverse += ((sy + float(y.dot(hy))) / sy2) * (s[:, None] * s)
+            np.multiply(s[:, None], s, out=outer)
+            outer *= (sy + float(y.dot(hy))) / sy2
+            inverse += outer
             # the terms hy (s/sy)^T and (s/sy) hy^T are each other's transpose
-            cross = hy[:, None] * (s / sy)
-            inverse -= cross + cross.T
-        x, f, g = trial, f_trial, g_trial
-        history.append(f)
-        if len(history) > STALL_ITERS and history[-STALL_ITERS - 1] - f <= STALL_RTOL * f:
+            np.multiply(hy[:, None], s / sy, out=cross)
+            inverse -= np.add(cross, cross.T, out=outer)
+        x, fx, g = trial, f_trial, g_trial
+        history.append(fx)
+        if len(history) > STALL_ITERS and history[-STALL_ITERS - 1] - fx <= STALL_RTOL * fx:
             reason = STALL
-    return _single_run(x, f, evals, reason)
+    return _single_run(x, fx, evals, reason)

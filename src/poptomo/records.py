@@ -129,31 +129,37 @@ def infer_grid_step(times):
     GRID_RTOL * t) of a multiple of dt: a summed grid's rounding grows with t.
     A negative or non-finite time raises GridMismatch.
     """
-    bad = [t for t in times if not 0.0 <= t < math.inf]
-    if bad:
-        raise GridMismatch(f"time {float(bad[0])!r} is negative or not finite")
-    positive = [t for t in times if t > 0.0]
-    if not positive:
+    times = np.asarray(times, dtype=float)
+    bad = ~((times >= 0.0) & (times < math.inf))
+    if bad.any():
+        raise GridMismatch(f"time {float(times[bad.argmax()])!r} is negative or not finite")
+    positive = times[times > 0.0]
+    if not positive.size:
         raise GridMismatch("no positive time in the record")
     first = positive[0]
     # more than MAX_GRID_STEPS steps; checked first so t / first stays finite
-    if max(positive) / MAX_GRID_STEPS > first:
+    if positive.max() / MAX_GRID_STEPS > first:
         raise GridMismatch("times do not share a reasonable uniform grid")
+    # a ratio nearer than 0.5 / MAX_GRID_STEPS to an integer has that integer
+    # as its limit fraction (any other p/q with q <= MAX_GRID_STEPS is at
+    # least 1 / MAX_GRID_STEPS from it), so only the others can raise divisor
+    ratios = positive / first
     divisor = 1
-    for t in positive:
-        ratio = Fraction(t / first).limit_denominator(MAX_GRID_STEPS)
-        divisor = math.lcm(divisor, ratio.denominator)
+    for ratio in ratios[np.abs(ratios - np.rint(ratios)) >= 0.5 / MAX_GRID_STEPS]:
+        divisor = math.lcm(divisor, Fraction(ratio).limit_denominator(MAX_GRID_STEPS).denominator)
         if divisor > MAX_GRID_STEPS:
             raise GridMismatch("times do not share a reasonable uniform grid")
     dt = first / divisor
-    for t in times:
-        k = round(t / dt)
-        if abs(t - k * dt) > max(GRID_ATOL, GRID_RTOL * t):
+    k = np.rint(times / dt)  # ties to even, as round does
+    off_grid = np.abs(times - k * dt) > np.maximum(GRID_ATOL, GRID_RTOL * times)
+    offending = off_grid | (k > MAX_GRID_STEPS)
+    if offending.any():
+        i = offending.argmax()
+        if off_grid[i]:
             raise GridMismatch(
-                f"time {float(t)!r} is not a multiple of the grid step {float(dt)!r}"
+                f"time {float(times[i])!r} is not a multiple of the grid step {float(dt)!r}"
             )
-        if k > MAX_GRID_STEPS:
-            raise GridMismatch("times do not share a reasonable uniform grid")
+        raise GridMismatch("times do not share a reasonable uniform grid")
     return dt
 
 

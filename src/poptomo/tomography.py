@@ -86,7 +86,7 @@ class PopulationPredictor:
         for j, t in enumerate(times):
             gap = round(t / dt) - previous
             if gap:
-                current = current @ np.linalg.matrix_power(step, gap)
+                current = current @ (step if gap == 1 else np.linalg.matrix_power(step, gap))
                 previous += gap
             self.matrix[j * n:(j + 1) * n] = current
 
@@ -205,10 +205,17 @@ class _WeightedCost:
     of eps) contributes the zero subgradient.
 
     Each evaluation overwrites the ``residual`` (``levels``) and ``work``
-    buffers and the factor's, so an instance is not reentrant.
+    buffers and the factor's, so an instance is not reentrant.  A value
+    call records its point (``point``, as bytes), ``norm`` and
+    ``level_norms``; ``gradient`` at that same point finishes from them.
+    Every residual pass clears ``point`` first, so after ``certificate``
+    the next gradient starts cold.
     """
 
-    __slots__ = ("dim", "rows", "targets", "factor", "residual", "levels", "work")
+    __slots__ = (
+        "dim", "rows", "targets", "factor", "residual", "levels", "work",
+        "point", "norm", "level_norms",
+    )
 
     def __init__(self, predictor, record):
         n = predictor.dim
@@ -231,9 +238,11 @@ class _WeightedCost:
         self.residual = np.empty(self.targets.size)
         self.levels = self.residual.reshape(-1, n)
         self.work = np.empty_like(self.levels)
+        self.point = None
 
     def _residual(self, gram_floats, norm):
         """Weighted residuals as (time, level) and the norm of each level's."""
+        self.point = None  # the buffers stop holding a value call's point
         residual = self.rows.dot(gram_floats, out=self.residual)
         residual /= norm
         residual -= self.targets
@@ -270,17 +279,20 @@ class _WeightedCost:
         return float(np.add.reduce(level_norms) / self.dim), float((lam - lam[0]) @ weights)
 
     def __call__(self, values):
-        return float(np.add.reduce(self._residual(*self.factor.gram(values))[1]) / self.dim)
+        gram_floats, self.norm = self.factor.gram(values)
+        self.level_norms = self._residual(gram_floats, self.norm)[1]
+        self.point = values.tobytes()
+        return float(np.add.reduce(self.level_norms) / self.dim)
 
-    def value_and_grad(self, values):
-        """(eps, d eps / d values); eps is bit-equal to ``self(values)``."""
-        gram_floats, norm = self.factor.gram(values)
-        residual, level_norms = self._residual(gram_floats, norm)
-        a, gamma = self._gram_gradient(residual, level_norms, norm)
+    def gradient(self, values):
+        """d eps / d values, finishing ``self(values)`` if that was the latest call."""
+        if values.tobytes() != self.point:
+            self(values)
+        a, gamma = self._gram_gradient(self.levels, self.level_norms, self.norm)
         T = self.factor.T
-        shrink = 2.0 * float(a.dot(gram_floats)) / norm
+        shrink = 2.0 * float(a.dot(self.factor.G_floats)) / self.norm
         grad = T.dot(gamma + gamma.conj().T) - shrink * T
-        return float(np.add.reduce(level_norms) / self.dim), grad.view(float).reshape(-1)[self.factor.slots]
+        return grad.view(float).reshape(-1)[self.factor.slots]
 
 
 def _check_record_model(record, model):
@@ -379,12 +391,12 @@ def reconstruct(record, model, cfg=None, *, epsilon_ceiling=EPSILON_CEILING):
     predictor = PopulationPredictor(model, record.times)
     cost = _WeightedCost(predictor, record)
     budget = cfg.simplex.max_evals
-    opt = bfgs(cost.value_and_grad, _linear_inversion_start(cost), budget)
+    opt = bfgs(cost, cost.gradient, _linear_inversion_start(cost), budget)
     evals, run_f = opt.evals, [opt.best_f]
     rho0 = params_to_rho(opt.best_x)
     epsilon, gap = cost.certificate(rho0.matrix)
     while not gap <= CERTIFIED_RTOL * epsilon and evals < budget:  # a NaN gap restarts too
-        run = bfgs(cost.value_and_grad, _params_for_state(rho0.matrix, cost.dim), budget - evals)
+        run = bfgs(cost, cost.gradient, _params_for_state(rho0.matrix, cost.dim), budget - evals)
         evals += run.evals
         run_f.append(run.best_f)
         if run.best_f >= opt.best_f:

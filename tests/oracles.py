@@ -13,6 +13,8 @@ predictor matrix and ends in the package's parameter map;
 plain loop (a full sort and a ``mean`` every iteration) with the
 package's coefficients; ``two_stage_reference`` pins the solve that
 polishes every BFGS point, so it runs the package's cost and optimizers.
+``infer_grid_step_reference`` pins the grid step and its errors, so it
+is the plain loop over every time with the package's tolerances.
 ``degenerate_record`` is a recipe for inputs, not a reference.
 """
 
@@ -364,12 +366,47 @@ def two_stage_reference(record, model, max_evals):
     from poptomo.optimize import bfgs, multi_start
 
     cost = tomography._WeightedCost(pt.PopulationPredictor(model, record.times), record)
-    descent = bfgs(cost.value_and_grad, tomography._linear_inversion_start(cost), max(max_evals - 1, 1))
+    descent = bfgs(cost, cost.gradient, tomography._linear_inversion_start(cost), max(max_evals - 1, 1))
     cfg = pt.SubplexConfig(
         simplex=pt.SimplexConfig(max_evals=max(max_evals - descent.evals, 1)), restarts=1
     )
     polish = multi_start(cost, lambda rng: descent.best_x, cfg)
     return cost.certificate(pt.params_to_rho(polish.best_x).matrix)[0]
+
+
+def infer_grid_step_reference(times):
+    """The grid step as one Fraction.limit_denominator per positive time and
+    one Python tolerance check per time, raising GridMismatch the same way."""
+    from fractions import Fraction
+
+    from poptomo.errors import GridMismatch
+    from poptomo.records import GRID_ATOL, GRID_RTOL, MAX_GRID_STEPS
+
+    bad = [t for t in times if not 0.0 <= t < math.inf]
+    if bad:
+        raise GridMismatch(f"time {float(bad[0])!r} is negative or not finite")
+    positive = [t for t in times if t > 0.0]
+    if not positive:
+        raise GridMismatch("no positive time in the record")
+    first = positive[0]
+    if max(positive) / MAX_GRID_STEPS > first:
+        raise GridMismatch("times do not share a reasonable uniform grid")
+    divisor = 1
+    for t in positive:
+        ratio = Fraction(t / first).limit_denominator(MAX_GRID_STEPS)
+        divisor = math.lcm(divisor, ratio.denominator)
+        if divisor > MAX_GRID_STEPS:
+            raise GridMismatch("times do not share a reasonable uniform grid")
+    dt = first / divisor
+    for t in times:
+        k = round(t / dt)
+        if abs(t - k * dt) > max(GRID_ATOL, GRID_RTOL * t):
+            raise GridMismatch(
+                f"time {float(t)!r} is not a multiple of the grid step {float(dt)!r}"
+            )
+        if k > MAX_GRID_STEPS:
+            raise GridMismatch("times do not share a reasonable uniform grid")
+    return dt
 
 
 def degenerate_record(seed):

@@ -38,12 +38,17 @@ def kinked_box(x):
     return float(a[k] + 0.001 * float(x @ x)), g
 
 
-def rosenbrock_and_grad(x):
+def rosenbrock_grad(x):
     inner = x[1:] - x[:-1] ** 2
     grad = np.zeros_like(x)
     grad[:-1] = -400.0 * x[:-1] * inner - 2.0 * (1.0 - x[:-1])
     grad[1:] += 200.0 * inner
-    return rosenbrock(x), grad
+    return grad
+
+
+def split(fg):
+    """bfgs's value and gradient functions for an objective that returns both."""
+    return (lambda x: fg(x)[0]), (lambda x: fg(x)[1])
 
 
 class TestNelderMead:
@@ -118,7 +123,7 @@ class TestNelderMead:
             lambda: pt.nelder_mead(sphere, []),
             lambda: pt.subplex(sphere, np.empty(0)),
             lambda: pt.multi_start(sphere, lambda rng: [], pt.SubplexConfig(restarts=2)),
-            lambda: bfgs(lambda x: (0.0, x), [], 10),
+            lambda: bfgs(sphere, lambda x: 2.0 * x, [], 10),
         ],
         ids=["nelder_mead", "subplex", "multi_start", "bfgs"],
     )
@@ -501,12 +506,12 @@ class TestBFGS:
     @pytest.mark.parametrize("seed", range(4))
     def test_convex_quadratic(self, seed):
         fg, minimizer = self.quadratic(12, seed)
-        res = bfgs(fg, np.zeros(12), 10_000)
+        res = bfgs(*split(fg), np.zeros(12), 10_000)
         assert res.best_f <= 1e-12
         assert np.abs(res.best_x - minimizer).max() <= 1e-12
 
     def test_rosenbrock(self):
-        res = bfgs(rosenbrock_and_grad, np.zeros(6), 10_000)
+        res = bfgs(rosenbrock, rosenbrock_grad, np.zeros(6), 10_000)
         assert res.best_f < 1e-12
         np.testing.assert_allclose(res.best_x, np.ones(6), atol=1e-6)
 
@@ -516,29 +521,54 @@ class TestBFGS:
 
         def counted(x):
             calls.append(x)
-            return rosenbrock_and_grad(x)
+            return rosenbrock(x)
 
         x0 = np.full(6, -0.5)
-        res = bfgs(counted, x0, budget)
+        res = bfgs(counted, rosenbrock_grad, x0, budget)
         assert res.evals == len(calls) <= budget
         assert res.best_f <= rosenbrock(x0)
         if budget < 30:
             assert res.converged_by == pt.optimize.MAX_EVALS
 
+    @pytest.mark.parametrize("budget", [30, 300])
+    def test_gradient_only_where_a_step_is_accepted(self, budget):
+        calls = []
+
+        def f(x):
+            calls.append(("f", x))
+            return rosenbrock(x)
+
+        def grad(x):
+            calls.append(("grad", x))
+            return rosenbrock_grad(x)
+
+        res = bfgs(f, grad, np.full(6, -0.5), budget)
+        values = [x for kind, x in calls if kind == "f"]
+        accepted = [i for i, (kind, _) in enumerate(calls) if kind == "grad"]
+        assert len(values) == res.evals
+        # every gradient is at the point of the value call just before it
+        assert all(i > 0 and calls[i - 1][0] == "f" and calls[i][1] is calls[i - 1][1] for i in accepted)
+        # the start, then each accepted step: f strictly falls along them,
+        # and the last is the result
+        path = [rosenbrock(calls[i][1]) for i in accepted]
+        assert all(b < a for a, b in zip(path, path[1:]))
+        assert calls[accepted[-1]][1].tobytes() == res.best_x.tobytes()
+        assert accepted[0] == 1 and len(accepted) < len(values)
+
     def test_deterministic(self):
-        a = bfgs(rosenbrock_and_grad, np.full(6, -0.5), 300)
-        b = bfgs(rosenbrock_and_grad, np.full(6, -0.5), 300)
+        a = bfgs(rosenbrock, rosenbrock_grad, np.full(6, -0.5), 300)
+        b = bfgs(rosenbrock, rosenbrock_grad, np.full(6, -0.5), 300)
         assert a.best_x.tobytes() == b.best_x.tobytes()
         assert (a.best_f, a.evals, a.converged_by) == (b.best_f, b.evals, b.converged_by)
 
     def test_zero_gradient_stops_at_once(self):
-        res = bfgs(lambda x: (float(x @ x), 2.0 * x), np.zeros(3), 100)
+        res = bfgs(sphere, lambda x: 2.0 * x, np.zeros(3), 100)
         assert (res.best_f, res.evals, res.converged_by) == (0.0, 1, pt.optimize.GTOL)
 
     def test_stall_on_a_slope_too_shallow_to_matter(self):
         # every line search succeeds, but STALL_ITERS iterations together
         # lower f by 1e-8, below STALL_RTOL * f
-        res = bfgs(lambda x: (1.0 + 1e-5 * float(x[0]), np.array([1e-5])), np.zeros(1), 1_000)
+        res = bfgs(lambda x: 1.0 + 1e-5 * float(x[0]), lambda x: np.array([1e-5]), np.zeros(1), 1_000)
         assert (res.converged_by, res.evals) == (pt.optimize.STALL, pt.optimize.STALL_ITERS + 1)
         assert res.best_x[0] == pytest.approx(-1e-5 * pt.optimize.STALL_ITERS, rel=1e-12)
 
@@ -547,29 +577,31 @@ class TestBFGS:
         # s.y**2 is then subnormal, the rounded update leaves an inverse that
         # is not positive definite, and bfgs restarts from the identity, whose
         # first trial is the steepest-descent point x - g.
-        calls = []
+        trials = []
+        steepest = set()
 
         def box(x):
-            a = np.abs(x)
-            k = int(np.argmax(a))
-            g = 0.002 * x
-            g[k] += math.copysign(1.0, x[k])
-            calls.append((x.copy(), g.copy()))
-            return float(a[k] + 0.001 * float(x @ x)), g
+            trials.append(x.copy())
+            return kinked_box(x)[0]
 
-        res = bfgs(box, np.array([5.0, 3.0]), 5_000)
+        def box_grad(x):
+            g = kinked_box(x)[1]
+            if len(trials) > 1:
+                steepest.add((x - g).tobytes())
+            return g
+
+        res = bfgs(box, box_grad, np.array([5.0, 3.0]), 5_000)
         assert (res.converged_by, res.evals) == (pt.optimize.LINE_SEARCH, 591)
-        steepest = {(x - g).tobytes() for x, g in calls[1:]}
-        assert [i for i, (x, _) in enumerate(calls) if i > 1 and x.tobytes() in steepest] == [550]
+        assert [i for i, x in enumerate(trials) if i > 1 and x.tobytes() in steepest] == [550]
 
     def test_update_skipped_when_sy_squared_underflows(self):
         # from (3, 1) the kink shrinks s.y until s.y**2 rounds to 0
-        res = bfgs(kinked_box, np.array([3.0, 1.0]), 5_000)
+        res = bfgs(*split(kinked_box), np.array([3.0, 1.0]), 5_000)
         assert (res.converged_by, res.evals) == (pt.optimize.LINE_SEARCH, 1_090)
 
     def test_update_skipped_when_sy_squared_overflows(self):
         # s.y = 1.25e155 on the first step, and Python's float ** raises on overflow
-        res = bfgs(lambda x: (float(x @ x) / 4.0, x / 2.0), np.array([1e78]), 100)
+        res = bfgs(lambda x: float(x @ x) / 4.0, lambda x: x / 2.0, np.array([1e78]), 100)
         assert (res.converged_by, res.evals, res.best_f) == (pt.optimize.GTOL, 5, 0.0)
 
     def test_scaled_objectives_raise_nothing(self):
@@ -591,7 +623,7 @@ class TestBFGS:
                     u = x / c
                     with np.errstate(over="ignore", invalid="ignore"):
                         return c**2 * float(w @ u**4), 4.0 * c * (w * u**3)
-            res = bfgs(fg, x0, 200)
+            res = bfgs(*split(fg), x0, 200)
             assert res.evals <= 200
             assert res.best_f <= fg(x0)[0]
 
@@ -601,14 +633,14 @@ class TestBFGS:
                 return math.nan, np.full_like(x, math.nan)
             return float((x[0] - 1.0) ** 2), np.array([2.0 * (x[0] - 1.0)])
 
-        res = bfgs(wall, np.array([-3.0]), 1_000)
+        res = bfgs(*split(wall), np.array([-3.0]), 1_000)
         assert res.best_x[0] <= 0.5
         assert res.best_f < wall(np.array([-3.0]))[0]
 
     def test_validation(self):
         with pytest.raises(pt.ValidationError):
-            bfgs(rosenbrock_and_grad, np.array([0.0, math.inf]), 10)
+            bfgs(rosenbrock, rosenbrock_grad, np.array([0.0, math.inf]), 10)
         with pytest.raises(pt.ValidationError):
-            bfgs(rosenbrock_and_grad, np.zeros(2), 0)
+            bfgs(rosenbrock, rosenbrock_grad, np.zeros(2), 0)
         with pytest.raises(pt.NonFiniteObjective):
-            bfgs(lambda x: (math.nan, x), np.zeros(2), 10)
+            bfgs(lambda x: math.nan, lambda x: x, np.zeros(2), 10)

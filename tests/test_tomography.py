@@ -240,9 +240,7 @@ class TestCostKernel:
     def test_gradient_matches_central_differences(self, seed, dim):
         _, _, cost = random_kernel_case(seed, dim)
         values = np.random.default_rng(seed).standard_normal(dim * dim)
-        f, grad = cost.value_and_grad(values)
-        # the value is the same computation as __call__, so the same bits
-        assert repr(f) == repr(cost(values))
+        grad = cost.gradient(values)
         step = 1e-6 * np.linalg.norm(values)
         central = np.array([
             (cost(values + step * e) - cost(values - step * e)) / (2.0 * step)
@@ -269,12 +267,27 @@ def test_kink_level_contributes_nothing_to_the_gradient(seed, dim):
     dropped.targets[level::dim] = 0.0
     level_norms = cost._residual(*cost.factor.gram(values))[1]
     assert level_norms[level] == 0.0 and np.count_nonzero(level_norms) == dim - 1
-    f, grad = cost.value_and_grad(values)
-    assert repr(f) == repr(cost(values))
-    f_dropped, grad_dropped = dropped.value_and_grad(values)
+    f, grad = cost(values), cost.gradient(values)
+    f_dropped, grad_dropped = dropped(values), dropped.gradient(values)
     assert repr(f) == repr(f_dropped)
     np.testing.assert_array_equal(grad, grad_dropped)
     assert np.all(np.isfinite(grad)) and np.any(grad != 0.0)
+
+
+@pytest.mark.parametrize("before", ["nothing", "value_here", "value_elsewhere", "certificate"])
+def test_gradient_is_never_stale(before):
+    """gradient(x) finishes the latest value call only if it was at x."""
+    _, _, cost = random_kernel_case(0, 5)
+    _, _, cold = random_kernel_case(0, 5)
+    values, other = np.random.default_rng(1).standard_normal((2, 25))
+    expected = cold.gradient(values)
+    if before != "nothing":
+        cost(values)
+    if before == "value_elsewhere":
+        cost(other)
+    elif before == "certificate":
+        cost.certificate(pt.params_to_rho(other).matrix)
+    assert cost.gradient(values).tobytes() == expected.tobytes()
 
 
 def degenerate_record(high_means, low_means, high_sigmas, low_sigmas):
@@ -465,6 +478,42 @@ class TestInferGridStep:
         assert pt.infer_grid_step(times) == pytest.approx(step, rel=1e-12)
 
 
+    @staticmethod
+    def grid_outcome(infer, times):
+        try:
+            return repr(infer(times))
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "cumsum", "submultiple", "jitter", "invalid"]),
+        step=st.floats(1e-9, 1e-3),
+        n=st.integers(2, 400),
+        q=st.integers(1, 7),
+        nudge=st.sampled_from([-2.0, -1.01, -0.99, -0.5, 0.5, 0.99, 1.01, 2.0]),
+        bad=st.sampled_from([-1.0, math.nan, math.inf, 2.0 * records.MAX_GRID_STEPS]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference(self, kind, step, n, q, nudge, bad, seed):
+        # the same step bit for bit, or the same exception and message
+        rng = np.random.default_rng(seed)
+        times = np.arange(n) * step
+        if kind == "cumsum":
+            times = np.cumsum(np.full(n, step))
+        elif kind == "submultiple":
+            times = np.sort(rng.choice(8 * n, n, replace=False)) * (step / q)
+        elif kind == "jitter":
+            # one time just inside or just outside its grid tolerance
+            i = int(rng.integers(1, n))
+            times[i] += nudge * max(records.GRID_ATOL, records.GRID_RTOL * times[i])
+        elif kind == "invalid":
+            times[int(rng.integers(n))] = bad * step
+        assert self.grid_outcome(pt.infer_grid_step, times) == self.grid_outcome(
+            oracles.infer_grid_step_reference, times
+        )
+
+
 class TestPropagationRoutes:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -492,7 +541,7 @@ class TestPropagationRoutes:
 def bfgs_point(record, model, budget):
     """(BFGS's result, eps, gap) of reconstruct's first run on ``budget``."""
     cost = tomography._WeightedCost(pt.PopulationPredictor(model, record.times), record)
-    descent = bfgs(cost.value_and_grad, tomography._linear_inversion_start(cost), budget)
+    descent = bfgs(cost, cost.gradient, tomography._linear_inversion_start(cost), budget)
     return (descent, *cost.certificate(pt.params_to_rho(descent.best_x).matrix))
 
 
@@ -578,6 +627,23 @@ class TestReconstruct:
         assert [repr(float(f)) for f in result.opt.per_restart_f] == [
             "0.0003433017355215926",
         ]
+
+    def test_pinned_pi_half_gradient_count(self, ladder_model, pi_half_state, monkeypatch):
+        # one gradient per run's start and per accepted step, each finishing
+        # the value call at its point; a rejected trial costs its value only
+        finished = []
+        gradient = tomography._WeightedCost.gradient
+
+        def counted(cost, values):
+            finished.append(values.tobytes() == cost.point)
+            return gradient(cost, values)
+
+        monkeypatch.setattr(tomography._WeightedCost, "gradient", counted)
+        record = make_record(ladder_model, pi_half_state, noiseless=False, seed=3)
+        result = pt.reconstruct(record, ladder_model, quick_subplex(max_evals=3_000, restarts=2))
+        assert len(result.opt.per_restart_f) == 1
+        assert len(finished) == 171 < result.opt.evals == 223
+        assert all(finished)
 
     @pytest.mark.parametrize(
         "gamma, epsilon, gap, evals",
