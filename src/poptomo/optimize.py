@@ -1,18 +1,20 @@
 """Minimization over real vectors.
 
-Four pieces: a classic reflect/expand/contract/shrink simplex
-(``nelder_mead``), a subspace-cycling wrapper that runs the simplex on
-small blocks of coordinates ordered by recent progress (``subplex``), a
-seeded multi-start loop (``multi_start``) for non-convex landscapes,
-and a dense BFGS with Armijo backtracking (``bfgs``) for objectives that
-supply their gradient.  Everything is deterministic for a fixed seed and
-respects a hard evaluation budget.  Only numpy is used: importing
+A dense BFGS with Armijo backtracking (``bfgs``), for objectives that
+supply their gradient, is the only solver a reconstruction runs.  Three
+derivative-free tools stay public and are checked on their own: a
+classic reflect/expand/contract/shrink simplex (``nelder_mead``,
+Nelder & Mead 1965), Rowan's subspace-cycling wrapper that runs the
+simplex on small blocks of coordinates ordered by recent progress
+(``subplex``), and a seeded multi-start loop over it (``multi_start``).
+Nothing in the package calls them, so they stay plain textbook loops.
+Everything is deterministic for a fixed seed and respects a hard
+evaluation budget.  Only numpy is used: importing
 ``scipy.optimize`` would add about 20 MB and more start-up time than a
 whole reconstruction takes.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -149,30 +151,21 @@ def _nm_core(ev, x0, steps):
 
     Returns (best_x, best_f, reason); never loses its best vertex, so
     the result is no worse than the start point.
-
-    Sorted-simplex invariant: after the first sort, ``sim`` and ``fsim``
-    stay in stable-argsort order (by value, ties in the order they came).
-    A new vertex goes in at its ``bisect_right`` rank, where a stable sort
-    puts the last of equal values; only a shrink sorts in full.
     """
     n = x0.size
     sim = np.repeat(x0[np.newaxis, :], n + 1, axis=0)
     for k in range(n):
         sim[k + 1, k] += steps[k]
-    fsim = [math.inf] * (n + 1)
+    fsim = np.full(n + 1, math.inf)
+    reason = None
     try:
         for i in range(n + 1):
             fsim[i] = ev(sim[i])
     except _BudgetExhausted:
-        k = int(np.argmin(fsim))
-        return sim[k].copy(), fsim[k], MAX_EVALS
-
-    reason = None
-    resort = True
+        reason = MAX_EVALS
     while reason is None:
-        if resort:
-            order = np.argsort(fsim, kind="stable")
-            sim, fsim, resort = sim[order], [fsim[i] for i in order], False
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
         if np.abs(sim[1:] - sim[0]).max() < X_TOL:
             reason = XTOL
             break
@@ -180,38 +173,33 @@ def _nm_core(ev, x0, steps):
             reason = FTOL
             break
         try:
-            # sim[:-1].mean(axis=0) bit for bit; REFLECTION is 1, so xr needs no multiply
-            centroid = np.add.reduce(sim[:-1], axis=0) / n
-            away = centroid - sim[-1]
-            xr = centroid + away
+            centroid = sim[:-1].mean(axis=0)
+            xr = centroid + REFLECTION * (centroid - sim[-1])
             fr = ev(xr)
-            new, fnew = xr, fr
             if fr < fsim[0]:
-                xe = centroid + REFLECTION * EXPANSION * away
+                xe = centroid + REFLECTION * EXPANSION * (centroid - sim[-1])
                 fe = ev(xe)
-                if fe < fr:
-                    new, fnew = xe, fe
-            elif fr >= fsim[-2]:
+                sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+            elif fr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fr
+            else:
                 # contract outside if the reflection beat the worst vertex,
                 # else inside; keep the point if it is no worse than the
                 # reflection and better than the worst vertex, else shrink
                 coef = CONTRACTION * REFLECTION if fr < fsim[-1] else -CONTRACTION
-                new = centroid + coef * away
-                fnew = ev(new)
-                if not (fnew <= fr and fnew < fsim[-1]):
-                    resort = True
+                xc = centroid + coef * (centroid - sim[-1])
+                fc = ev(xc)
+                if fc <= fr and fc < fsim[-1]:
+                    sim[-1], fsim[-1] = xc, fc
+                else:
                     for i in range(1, n + 1):
                         xs = sim[0] + SHRINK * (sim[i] - sim[0])
                         fs = ev(xs)
                         sim[i], fsim[i] = xs, fs
-            if not resort:
-                rank = bisect_right(fsim, fnew, 0, n)
-                sim[rank + 1 :], fsim[rank + 1 :] = sim[rank:-1], fsim[rank:-1]
-                sim[rank], fsim[rank] = new, fnew
         except _BudgetExhausted:
             reason = MAX_EVALS
     best = int(np.argmin(fsim))
-    return sim[best].copy(), fsim[best], reason
+    return sim[best].copy(), float(fsim[best]), reason
 
 
 def nelder_mead(f, x0, cfg=None):
@@ -235,22 +223,6 @@ def _partition_sizes(n):
     return [base + 1] * extra + [base] * (k - extra)
 
 
-class _SubObjective:
-    """Objective restricted to a coordinate block, others held fixed."""
-
-    __slots__ = ("ev", "base", "idx")
-
-    def __init__(self, ev, base, idx):
-        self.ev = ev
-        self.base = base
-        self.idx = idx
-
-    def __call__(self, y):
-        z = self.base.copy()
-        z[self.idx] = y
-        return self.ev(z)
-
-
 def subplex(f, x0, cfg=None):
     """Minimize f by cycling Nelder-Mead over progress-ordered subspaces.
 
@@ -269,7 +241,14 @@ def subplex(f, x0, cfg=None):
 
     ev = _Evaluator(f, cfg.simplex.max_evals)
     x = x0.copy()
-    fx = ev(x)
+    fx = ev(x0)  # x is written in place below, x0 never is
+
+    def sub(y):
+        # f on the current x with the current block idx replaced by y
+        z = x.copy()
+        z[idx] = y
+        return ev(z)
+
     step_vec = _initial_steps(x0)
     dx = np.zeros(n)
     sizes = _partition_sizes(n)
@@ -282,10 +261,8 @@ def subplex(f, x0, cfg=None):
         for size in sizes:
             idx = order[start : start + size]
             start += size
-            sub = _SubObjective(ev, x, idx)
             sub_x, sub_f, sub_reason = _nm_core(sub, x[idx], step_vec[idx])
             if sub_f <= fx:
-                x = x.copy()
                 x[idx] = sub_x
                 fx = sub_f
             if sub_reason == MAX_EVALS:
@@ -367,9 +344,6 @@ def bfgs(f, grad, x0, max_evals):
     g = grad(x)
     evals = 1
     inverse = np.eye(x.size)
-    # the rank-2 update's terms, written in place
-    outer = np.empty_like(inverse)
-    cross = np.empty_like(inverse)
     scaled = False
     history = [fx]
     reason = None
@@ -413,12 +387,10 @@ def bfgs(f, grad, x0, max_evals):
                 inverse *= sy / float(y.dot(y))
                 scaled = True
             hy = inverse.dot(y)
-            np.multiply(s[:, None], s, out=outer)
-            outer *= (sy + float(y.dot(hy))) / sy2
-            inverse += outer
+            inverse += ((sy + float(y.dot(hy))) / sy2) * (s[:, None] * s)
             # the terms hy (s/sy)^T and (s/sy) hy^T are each other's transpose
-            np.multiply(hy[:, None], s / sy, out=cross)
-            inverse -= np.add(cross, cross.T, out=outer)
+            cross = hy[:, None] * (s / sy)
+            inverse -= cross + cross.T
         x, fx, g = trial, f_trial, g_trial
         history.append(fx)
         if len(history) > STALL_ITERS and history[-STALL_ITERS - 1] - fx <= STALL_RTOL * fx:

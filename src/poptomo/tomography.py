@@ -143,7 +143,8 @@ class _Factor:
 
 
 def rho_matrix_from_values(values):
-    """Raw-array fast path: normalized T^H T without DensityMatrix checks."""
+    """Normalized T^H T for ``params_to_rho``, its only caller; a name of its
+    own only because perfbench/tracing.py aggregates its calls."""
     factor = _Factor(math.isqrt(values.size))
     norm = factor.gram(values)[1]
     return factor.G / norm

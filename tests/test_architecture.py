@@ -6,7 +6,9 @@ or calls ``open``.  The only ``expm`` in the package is the call inside
 ``dynamics``' entries.  ``records`` owns every record rule: no other
 module reads a ``.meta`` attribute or names ``GRID_ATOL``, ``GRID_RTOL``
 or ``MAX_GRID_STEPS``.  ``cli`` writes no file format of its own: it
-calls neither ``write_csv`` nor ``write_json``.  Every import is of the
+calls neither ``write_csv`` nor ``write_json``.  No module but ``optimize``
+calls ``nelder_mead``, ``subplex`` or ``multi_start``, and the only solver
+``tomography`` calls is ``bfgs``.  Every import is of the
 standard library or ``numpy``, and ``import poptomo`` loads no SciPy
 module.  Every explicit
 ``raise`` raises a ``PoptomoError`` subclass, so the CLI maps it to an
@@ -122,6 +124,26 @@ def test_cli_writes_no_format_of_its_own():
 
     _walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")), "cli", visit)
     assert calls == []
+
+
+def test_reconstructions_solve_with_bfgs_alone():
+    # nelder_mead, subplex and multi_start are public tools that no solve
+    # runs (tomography imports multi_start only for the benchmark's tracer),
+    # so their code needs no speed-up until a solve calls them again
+    solvers = {"nelder_mead", "subplex", "multi_start", "bfgs"}
+    calls = set()
+
+    def visit(node, owner):
+        if _called_name(node) in solvers:
+            calls.add((owner.split(".")[0], _called_name(node)))
+        # an alias would hide a call from the name check above
+        if isinstance(node, ast.alias) and node.name in solvers:
+            assert node.asname is None, f"{owner} imports {node.name} as {node.asname}"
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "optimize":
+            _walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, visit)
+    assert calls == {("tomography", "bfgs")}
 
 
 def test_imports_are_the_standard_library_and_numpy():
