@@ -12,15 +12,16 @@ populations are untouched and every coherence decays as exp(-2*gamma*t).
 
 Propagation uses the exact exponential of the vectorized generator
 (column-stacking convention, so ``L = -i(I (x) H - H^T (x) I) + D``).
-``make_propagator`` holds the only call to ``expm``, this module's
-degree-13 Pade scaling-and-squaring exponential, held by the tests to
-within 1e-13 of SciPy's, and returns the step exp(L*dt) itself, built
-once per grid so optimizer inner loops never pay for it.
-The population predictor (prefix products over its grid) and
+``make_propagator(model, dt)`` holds the only call to ``expm``, this
+module's degree-13 Pade scaling-and-squaring exponential of one matrix,
+held by the tests to within 1e-13 of SciPy's, and returns the step
+exp(L*dt) itself, built once per grid so optimizer inner loops never pay
+for it.  The population predictor (prefix products over its grid) and
 ``evolve`` (a matrix power) propagate through it.  Detuning-drift
 synthesis goes through ``drive_populations``, which reads a stack of
-drives' populations off one stacked step when gamma > 0, and off one
-batched ``eigh`` at gamma = 0, where the step is unitary.
+drives' populations off one ``make_propagator`` step per drive when
+gamma > 0, and off one batched ``eigh`` at gamma = 0, where the step is
+unitary.
 
 Basis ordering for the built-in five-level ladder is m_F = +2 ... -2,
 i.e. index 0 is the stretched m_F = +2 sublevel.
@@ -202,20 +203,19 @@ class EvolutionModel:
 
 
 def _generator(H, gamma):
-    """L for a Hamiltonian or a stack of them: (..., n, n) -> (..., n^2, n^2).
+    """L for one n x n Hamiltonian: an n^2 x n^2 matrix.
 
     ``L @ vec(rho)`` is vec(drho/dt).  The dephasing part is diagonal: 0 on
     population slots, -2*gamma on coherence slots.  In the commutator part
-    -i(I (x) H - H^T (x) I), I (x) H and H^T (x) I are built by broadcasting
-    over the leading axes, with the same products as ``np.kron``, so each
-    slice is bit for bit the kron form; the -i, damping and later dt steps
-    work in place.
+    -i(I (x) H - H^T (x) I), I (x) H and H^T (x) I are built by broadcasting,
+    with the same products as ``np.kron``, so L is bit for bit the kron
+    form; the -i, damping and later dt steps work in place.
     """
     n = H.shape[-1]
-    shape = H.shape[:-2] + (n * n, n * n)
+    shape = (n * n, n * n)
     eye = np.eye(n)
-    L = (eye[:, None, :, None] * H[..., None, :, None, :]).reshape(shape)
-    L -= (np.swapaxes(H, -1, -2)[..., :, None, :, None] * eye[:, None, :]).reshape(shape)
+    L = (eye[:, None, :, None] * H[None, :, None, :]).reshape(shape)
+    L -= (H.T[:, None, :, None] * eye[:, None, :]).reshape(shape)
     L *= -1j
     if gamma != 0.0:
         damp = np.full(n * n, -2.0 * gamma)
@@ -243,15 +243,21 @@ _PADE_ROWS = np.array(
 )
 
 
-def _expm_slice(a):
-    """exp(a) for one square complex matrix; see ``expm``."""
+def expm(a):
+    """exp of one square complex matrix.
+
+    Higham's (2005) scaling and squaring: the degree-13 Pade approximant of
+    A/2^s, squared s times, with s the fewest halvings that bring A's
+    1-norm within theta_13.  A diagonal matrix is the exponential of its
+    diagonal.  ``a`` must be finite: ``make_propagator`` checks that, and
+    bounds its 1-norm by MAX_UNITARY_PHASE, before calling it.  An overflow
+    or an exactly singular Pade denominator comes out as non-finite
+    entries, never as an exception.
+    """
     diagonal = np.diagonal(a)
     if np.count_nonzero(a) == np.count_nonzero(diagonal):
         return np.diag(np.exp(diagonal))
-    norm = np.abs(a).sum(axis=0).max()
-    if not np.isfinite(norm):
-        return np.full_like(a, np.nan)
-    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    s = max(0, math.ceil(math.log2(np.abs(a).sum(axis=0).max() / _THETA_13)))
     a = a * 2.0**-s  # a power of two: exact
     n = a.shape[0]
     powers = np.empty((4, n, n), dtype=complex)
@@ -271,25 +277,6 @@ def _expm_slice(a):
     return step
 
 
-def expm(a):
-    """exp of each trailing n x n slice of a complex array.
-
-    Higham's (2005) scaling and squaring: the degree-13 Pade approximant of
-    A/2^s, squared s times, with s the fewest halvings that bring the
-    slice's 1-norm within theta_13.  A diagonal slice is the exponential of
-    its diagonal.  Each slice takes the same steps alone, so slice i of a
-    stack is bit for bit the exponential of that slice on its own.  A
-    non-finite 1-norm, an overflow, or an exactly singular Pade denominator
-    comes out as non-finite entries, never as an exception or a numpy
-    warning.
-    """
-    out = np.empty_like(a)
-    with np.errstate(all="ignore"):
-        for i in np.ndindex(a.shape[:-2]):
-            out[i] = _expm_slice(a[i])
-    return out
-
-
 # Largest phase a step may carry.  ``make_propagator`` bounds ||L*dt||_1 by
 # it, and ``drive_populations`` bounds the drive phase max|lambda|*t at
 # gamma = 0.  A float phase carries a rounding error of |lambda*t| * 2**-53,
@@ -303,26 +290,19 @@ MAX_UNITARY_PHASE = 1e8
 
 
 def make_propagator(model, dt):
-    """The read-only step exp(L*dt); reusable over a uniform grid.
+    """The read-only step exp(L*dt) of an EvolutionModel; reusable over a uniform grid.
 
-    ``model`` is an EvolutionModel, for one n^2 x n^2 step, or a pair
-    ``(H, gamma)`` of an (m, n, n) stack of Hamiltonian matrices and the
-    rate they share, for an (m, n^2, n^2) stack of steps from one ``expm``
-    call.  ``expm`` treats each slice on its own, so slice i is bit for
-    bit the step of the model with Hamiltonian H[i].  A drive or rate far
-    too large for ``dt`` raises NumericalDrift: ||L*dt||_1 beyond
-    MAX_UNITARY_PHASE, or a step that comes out non-finite.
+    The step is n^2 x n^2 for an n-level model.  A drive or rate far too
+    large for ``dt`` raises NumericalDrift: ||L*dt||_1 beyond
+    MAX_UNITARY_PHASE, or a step that comes out non-finite.  A non-finite
+    generator raises ValidationError.
     """
     if dt < 0.0:
         raise InvalidState(f"time step must be >= 0, got {dt}")
-    if isinstance(model, EvolutionModel):
-        H, gamma = build_hamiltonian(model.hamiltonian), model.gamma
-    else:
-        H, gamma = model
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        generator = _generator(H, gamma)
+        generator = _generator(build_hamiltonian(model.hamiltonian), model.gamma)
         generator *= dt
-        norm = np.abs(generator).sum(axis=-2).max(initial=0.0)
+        norm = np.abs(generator).sum(axis=0).max()
     if not np.all(np.isfinite(generator)):
         raise ValidationError(f"non-finite drive, rate or time step (dt = {dt})")
     if not norm <= MAX_UNITARY_PHASE:
@@ -330,7 +310,8 @@ def make_propagator(model, dt):
             f"||L*dt||_1 = {norm:.3e} exceeds {MAX_UNITARY_PHASE:.0e} (dt = {dt}): "
             "drive or rate too large"
         )
-    step = expm(generator)
+    with np.errstate(all="ignore"):  # a non-finite step is reported just below
+        step = expm(generator)
     if not np.all(np.isfinite(step)):
         raise NumericalDrift(f"exp(L*dt) is not finite (dt = {dt}): drive or rate too large")
     step.setflags(write=False)
@@ -340,8 +321,9 @@ def make_propagator(model, dt):
 def drive_populations(H, gamma, rho, t):
     """(m, n) populations of ``rho`` at time ``t`` under an (m, n, n) stack of real drives.
 
-    At t = 0 every row is exactly diag(rho).  At gamma > 0 the rows are the
-    population rows of one stacked ``make_propagator`` step.  At gamma = 0
+    At t = 0 every row is exactly diag(rho).  At gamma > 0 each drive gets
+    its own ``make_propagator`` step, and the rows are the population rows
+    of those steps, stacked and read in one product.  At gamma = 0
     one batched ``eigh`` gives U = V exp(-i Lambda t) V^T, the
     well-conditioned exponential of a Hermitian matrix, with no ``expm``; a
     non-finite eigenvalue, or a phase max|lambda|*t beyond MAX_UNITARY_PHASE,
@@ -351,7 +333,7 @@ def drive_populations(H, gamma, rho, t):
         return np.broadcast_to(np.diagonal(rho).real, H.shape[:-1])
     if gamma != 0.0:
         n = H.shape[-1]
-        steps = make_propagator((H.astype(complex), gamma), t)
+        steps = np.stack([make_propagator(EvolutionModel(GenericHamiltonian(h), gamma), t) for h in H])
         return (steps[..., np.arange(n) * (n + 1), :] @ vectorize(rho)).real
     if not np.all(np.isfinite(H)):
         raise ValidationError(f"non-finite drive or time step (dt = {t})")

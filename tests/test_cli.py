@@ -385,6 +385,8 @@ MALFORMED_INPUTS = {
     "sidecar_dim_mismatch": ("sidecar", lambda s: {**s, "dim": 3}),
     "sidecar_meta_string": ("sidecar", lambda s: {**s, "meta": "abc"}),
     "sidecar_repeats_fractional": ("sidecar", lambda s: {**s, "repeats": 2.9}),
+    "sidecar_repeats_zero": ("sidecar", lambda s: {**s, "repeats": 0}),
+    "sidecar_repeats_negative": ("sidecar", lambda s: {**s, "repeats": -3}),
     "sidecar_config_string": ("sidecar", lambda s: {**s, "meta": {**s["meta"], "config": "abc"}}),
     "sidecar_atoms_string": ("sidecar", _with_atoms("abc")),
     "sidecar_atoms_bool": ("sidecar", _with_atoms(True)),

@@ -380,8 +380,8 @@ def assert_matches_reference(f, x0, cfg):
 
 
 class TestReferenceSimplex:
-    """nelder_mead keeps its simplex sorted by insertion; every bit of a run
-    must equal the reference that argsorts and copies every iteration."""
+    """nelder_mead's textbook loop and the reference that argsorts and
+    copies every iteration must agree bit for bit over a whole run."""
 
     @settings(max_examples=150, deadline=None)
     @given(
