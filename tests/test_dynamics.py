@@ -295,6 +295,32 @@ def shot_step(h, gamma, t):
     return pt.make_propagator(pt.EvolutionModel(pt.GenericHamiltonian(h), gamma), t)
 
 
+class TestShotSteps:
+    """drive_populations at gamma > 0 wraps each real drive in a
+    GenericHamiltonian; that step must be the spec's own step."""
+
+    @pytest.mark.parametrize("dt", [0.0, 0.37e-6, 1.16e-6])
+    @pytest.mark.parametrize("gamma", [0.0, 375.0])
+    def test_generic_form_is_the_spec_step_bytewise(self, ladder, dt, gamma):
+        rng = np.random.default_rng(21)
+        specs = [
+            pt.Ladder5(ladder.rabi_omega, ladder.delta1 + xi, ladder.delta2 + 2.0 * xi)
+            for xi in rng.normal(0.0, TWO_PI * 10e3, size=6)
+        ]
+        # a diagonal drive takes expm's diagonal shortcut; a generic one has no zeros
+        specs.append(pt.Ladder5(0.0, -ladder.delta1, 0.0))
+        specs.append(pt.GenericHamiltonian(oracles.random_hermitian(rng, 5, TWO_PI * 40e3)))
+        for spec in specs:
+            h = pt.build_hamiltonian(spec)
+            step = pt.make_propagator(pt.EvolutionModel(spec, gamma), dt)
+            assert step.tobytes() == shot_step(h, gamma, dt).tobytes()
+            if isinstance(spec, pt.Ladder5):
+                assert step.tobytes() == shot_step(h.real, gamma, dt).tobytes()
+            assert step.shape == (25, 25) and step.flags.writeable is False
+            if dt == 0.0:
+                np.testing.assert_array_equal(step, np.eye(25))
+
+
 class TestDrivePopulations:
     @pytest.mark.parametrize("t", [0.37e-6, 1.16e-6, 3e-5])
     def test_dephased_rows_are_the_stacked_step_bytewise(self, t):
