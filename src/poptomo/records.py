@@ -378,6 +378,8 @@ def load_record(path):
             miss = np.abs(times - np.arange(times.size) * interval)
         if np.any(miss > np.maximum(GRID_ATOL, GRID_RTOL * times)):
             raise SchemaError("sample_interval_s", f"sidecar says {interval!r}, the CSV times are not its multiples")
+    if repeats < 1 or (atoms is not None and atoms < 1):
+        raise SchemaError("sidecar", "repeats and atoms_per_shot must be at least 1")
 
     if np.any(sigmas < 0.0):
         raise SchemaError("sigmas", "negative standard deviation")

@@ -84,7 +84,6 @@ class TestAgainstScipy:
         assert step.tobytes() == np.diag(np.exp(np.diagonal(L))).tobytes()
         assert step.tobytes() == scipy.linalg.expm(L).tobytes()
 
-
     @settings(max_examples=60, deadline=None)
     @given(
         drives=st.lists(
@@ -92,20 +91,22 @@ class TestAgainstScipy:
                       st.floats(-1.0, 1.0)),
             min_size=1, max_size=6,
         ),
-        gamma=st.floats(0.0, 3.0, exclude_min=True),
+        gamma=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
         dt=st.floats(0.0, 60.0),
     )
     def test_dephased_population_rows_are_the_scalar_steps(self, drives, gamma, dt):
-        # dt up to 60 spans 0 to 8 squarings at unit scale
+        # dt up to 60 spans 0 to 8 squarings at unit scale; drive_populations
+        # steps each shot only when dephased (gamma = 0 goes through eigh)
         specs = [pt.Ladder5(*drive) for drive in drives]
         stack = np.stack([pt.build_hamiltonian(spec).real for spec in specs])
         rho = oracles.random_density(np.random.default_rng(len(drives)), 5)
-        got = dynamics.drive_populations(stack, gamma, rho, dt)
-        for spec, row in zip(specs, got):
+        rows = dynamics.drive_populations(stack, gamma, rho, dt) if gamma > 0 else None
+        for i, spec in enumerate(specs):
             model = pt.EvolutionModel(spec, gamma)
             step = pt.make_propagator(model, dt)
-            want = (step[np.arange(5) * 6] @ pt.vectorize(rho)).real
-            assert np.ascontiguousarray(row).tobytes() == want.tobytes()
+            if rows is not None:
+                want = (step[np.arange(5) * 6] @ pt.vectorize(rho)).real
+                assert np.ascontiguousarray(rows[i]).tobytes() == want.tobytes()
             assert_matches_scipy(step, generator(model) * dt)
 
 
